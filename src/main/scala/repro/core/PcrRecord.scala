@@ -51,13 +51,28 @@ final case class PcrHeader(
 object PcrRecord {
   val Magic: Int = 0x50435231 // "PCR1"
 
+  /** magic, nImages, nScanGroups, width, height, quality: 4 bytes each. */
+  val FixedHeaderLength: Int = 24
+
+  /** Header length of a record with `nImages` images and `nScanGroups`
+    * groups, computed in `Long` so corrupt counts cannot overflow it.
+    * Rejects counts no record can have, and headers over 2 GiB.
+    */
+  def headerLength(nImages: Int, nScanGroups: Int): Long = {
+    require(nImages > 0 && nScanGroups > 0 && nScanGroups <= 64,
+      s"corrupt PCR header: n=$nImages groups=$nScanGroups")
+    val len = FixedHeaderLength + 12L * nImages + 8L * (nScanGroups + 1)
+    require(len <= Int.MaxValue, s"corrupt PCR header: $len header bytes for n=$nImages")
+    len
+  }
+
   def serialize(width: Int, height: Int, quality: Int, entries: Seq[PcrImageEntry]): Array[Byte] = {
     require(entries.nonEmpty, "empty PCR record")
     val nScanGroups = entries.head.scans.length
     require(entries.forall(_.scans.length == nScanGroups), "ragged scan counts")
     val n = entries.size
 
-    val headerLen = 24L + 12L * n + 8L * (nScanGroups + 1)
+    val headerLen = headerLength(n, nScanGroups)
     val groupLens = (0 until nScanGroups).map { g =>
       4L * n + entries.iterator.map(_.scans(g).length.toLong).sum
     }
@@ -80,11 +95,11 @@ object PcrRecord {
   /** Parse a header from a byte prefix (needs at least the header bytes). */
   def parseHeader(bytes: Array[Byte]): PcrHeader = {
     val bb = ByteBuffer.wrap(bytes)
-    require(bb.remaining >= 24, "truncated PCR header")
+    require(bb.remaining >= FixedHeaderLength, "truncated PCR header")
     require(bb.getInt() == Magic, "not a PCR record (bad magic)")
     val n = bb.getInt(); val ng = bb.getInt()
     val w = bb.getInt(); val h = bb.getInt(); val q = bb.getInt()
-    require(n > 0 && ng > 0 && ng <= 64, s"corrupt PCR header: n=$n groups=$ng")
+    require(bytes.length >= headerLength(n, ng), "truncated PCR header")
     val ids = Array.fill(n)(bb.getLong())
     val labels = Array.fill(n)(bb.getInt())
     val offsets = Array.fill(ng + 1)(bb.getLong())

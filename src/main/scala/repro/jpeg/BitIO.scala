@@ -3,67 +3,87 @@ package repro.jpeg
 /** MSB-first bit stream writer over a growable byte buffer. Each entropy-
   * coded scan is an independent, byte-aligned bit stream, which is what lets
   * the PCR layout concatenate scans from different images into scan groups.
+  *
+  * Bits collect in a 64-bit accumulator and leave it a whole byte at a time.
   */
 final class BitWriter(initialCapacity: Int = 256) {
   private var buf = new Array[Byte](math.max(16, initialCapacity))
   private var byteLen = 0
-  private var cur = 0 // bits accumulated into the current byte
-  private var nCur = 0
+  private var acc = 0L // the low nAcc bits are pending, oldest first
+  private var nAcc = 0 // always < 8 between calls
 
-  private def ensure(n: Int): Unit =
-    if (byteLen + n > buf.length) {
-      buf = java.util.Arrays.copyOf(buf, math.max(buf.length * 2, byteLen + n))
-    }
-
-  def writeBit(b: Int): Unit = {
-    cur = (cur << 1) | (b & 1)
-    nCur += 1
-    if (nCur == 8) { ensure(1); buf(byteLen) = cur.toByte; byteLen += 1; cur = 0; nCur = 0 }
-  }
+  def writeBit(b: Int): Unit = writeBits(b & 1, 1)
 
   /** Write the low `n` bits of `v`, MSB first. n may be 0 (no-op). */
   def writeBits(v: Int, n: Int): Unit = {
     require(n >= 0 && n <= 32, s"bad bit count $n")
-    var i = n - 1
-    while (i >= 0) { writeBit((v >>> i) & 1); i -= 1 }
+    acc = (acc << n) | (v.toLong & ((1L << n) - 1))
+    nAcc += n
+    if (nAcc >= 8) {
+      if (byteLen + 5 > buf.length) {
+        buf = java.util.Arrays.copyOf(buf, math.max(buf.length * 2, byteLen + 5))
+      }
+      while (nAcc >= 8) {
+        nAcc -= 8
+        buf(byteLen) = (acc >>> nAcc).toByte
+        byteLen += 1
+      }
+      acc &= (1L << nAcc) - 1
+    }
   }
 
-  def bitLength: Long = byteLen.toLong * 8 + nCur
+  def bitLength: Long = byteLen.toLong * 8 + nAcc
 
   /** Pad the final partial byte with 1s (like JPEG) and return the bytes. */
-  def toBytes: Array[Byte] = {
-    val out =
-      if (nCur == 0) java.util.Arrays.copyOf(buf, byteLen)
-      else {
-        val padded = (cur << (8 - nCur)) | ((1 << (8 - nCur)) - 1)
-        val o = java.util.Arrays.copyOf(buf, byteLen + 1)
-        o(byteLen) = padded.toByte
-        o
-      }
-    out
-  }
+  def toBytes: Array[Byte] =
+    if (nAcc == 0) java.util.Arrays.copyOf(buf, byteLen)
+    else {
+      val o = java.util.Arrays.copyOf(buf, byteLen + 1)
+      o(byteLen) = ((acc << (8 - nAcc)) | ((1 << (8 - nAcc)) - 1)).toByte
+      o
+    }
 }
 
 /** MSB-first bit reader over a byte array. Reading past the end yields 1s
   * (the padding value), mirroring how JPEG decoders treat the stream tail.
+  *
+  * Up to 64 bits are buffered, left-aligned in a `Long`: a read peeks at the
+  * top `n` bits and consumes them, and refills a byte at a time only when
+  * fewer than `n` remain.
   */
 final class BitReader(bytes: Array[Byte]) {
-  private var pos = 0L
   private val nBits = bytes.length.toLong * 8
+  private var next = 0 // index of the next byte to buffer
+  private var window = 0L // unread bits, MSB first; bits below nWindow are 0
+  private var nWindow = 0
+  private var pos = 0L // bits consumed, including padding past the end
 
-  def readBit(): Int = {
-    if (pos >= nBits) { pos += 1; 1 }
-    else {
-      val b = (bytes((pos >> 3).toInt) >> (7 - (pos & 7)).toInt) & 1
-      pos += 1
-      b
+  /** Buffer bytes until more than 56 bits are unread. */
+  private def refill(): Unit =
+    while (nWindow <= 56) {
+      val b =
+        if (next < bytes.length) { val v = bytes(next) & 0xff; next += 1; v }
+        else 0xff
+      window |= b.toLong << (56 - nWindow)
+      nWindow += 8
     }
-  }
 
+  def readBit(): Int = readBits(1)
+
+  /** Read `n` bits (0 ≤ n ≤ 32) as an unsigned value, MSB first. */
   def readBits(n: Int): Int = {
-    var v = 0; var i = 0
-    while (i < n) { v = (v << 1) | readBit(); i += 1 }
-    v
+    if (n <= 0) {
+      require(n == 0, s"bad bit count $n")
+      0
+    } else {
+      require(n <= 32, s"bad bit count $n")
+      if (nWindow < n) refill()
+      val v = (window >>> (64 - n)).toInt
+      window <<= n
+      nWindow -= n
+      pos += n
+      v
+    }
   }
 
   def bitsRead: Long = pos

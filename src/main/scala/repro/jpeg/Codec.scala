@@ -50,31 +50,30 @@ object Codec {
   def toCoefficients(img: PlanarImage, quality: Int): CoefImage = {
     val qLuma   = Quantization.luma(quality)
     val qChroma = Quantization.chroma(quality)
+    val buf = new Array[Double](64)
+    val f   = new Array[Double](64)
+    val tmp = new Array[Double](64)
     def plane(px: Array[Int], w: Int, h: Int, q: Array[Int]): Array[Array[Int]] = {
       val bw = w / 8; val bh = h / 8
       val blocks = new Array[Array[Int]](bw * bh)
-      val buf = new Array[Double](64)
-      var by = 0
-      while (by < bh) {
-        var bx = 0
-        while (bx < bw) {
-          var i = 0
-          while (i < 64) {
-            buf(i) = px((by * 8 + i / 8) * w + bx * 8 + i % 8) - 128.0
-            i += 1
-          }
-          val f = Dct.forward(buf)
-          val zz = new Array[Int](64)
-          var k = 0
-          while (k < 64) {
-            val rm = ZigZag.order(k)
-            zz(k) = math.round(f(rm) / q(rm)).toInt
-            k += 1
-          }
-          blocks(by * bw + bx) = zz
-          bx += 1
+      var b = 0
+      while (b < blocks.length) {
+        val origin = (b / bw) * 8 * w + (b % bw) * 8
+        var i = 0
+        while (i < 64) {
+          buf(i) = px(origin + (i >> 3) * w + (i & 7)) - 128.0
+          i += 1
         }
-        by += 1
+        Dct.forward(buf, f, tmp)
+        val zz = new Array[Int](64)
+        var k = 0
+        while (k < 64) {
+          val rm = ZigZag.order(k)
+          zz(k) = math.round(f(rm) / q(rm)).toInt
+          k += 1
+        }
+        blocks(b) = zz
+        b += 1
       }
       blocks
     }
@@ -90,38 +89,64 @@ object Codec {
     * was last received (`-1` = never → treated as 0). AC coefficients
     * received at depth > 0 are reconstructed at the magnitude midpoint,
     * matching how JPEG decoders render truncated progressive streams.
+    *
+    * A block with no non-zero AC coefficient is the constant
+    * `(C00 * F00) * C00 + 128`, which is exactly what the IDCT computes for
+    * it, so it is filled without one. When `depth` shows that no AC slot of
+    * a component was received (every block at scan 1), only the DC slots
+    * are read.
     */
   def fromCoefficients(ci: CoefImage, quality: Int, depth: Array[Array[Int]]): PlanarImage = {
     val qLuma   = Quantization.luma(quality)
     val qChroma = Quantization.chroma(quality)
+    val coefRm = new Array[Double](64)
+    val sp     = new Array[Double](64)
+    val tmp    = new Array[Double](64)
     def plane(blocks: Array[Array[Int]], w: Int, h: Int, q: Array[Int], d: Array[Int]): Array[Int] = {
       val bw = w / 8
       val px = new Array[Int](w * h)
-      val coefRm = new Array[Double](64)
+      // Received AC slots, in zigzag order; the others stay 0.0 in coefRm.
+      val acs = (1 until 64).filter(k => d(k) >= 0).toArray
+      java.util.Arrays.fill(coefRm, 0.0)
       var b = 0
       while (b < blocks.length) {
         val zz = blocks(b)
-        var k = 0
-        while (k < 64) {
+        val origin = (b / bw) * 8 * w + (b % bw) * 8
+        var nonZeroAc = 0
+        var j = 0
+        while (j < acs.length) {
+          val k = acs(j)
           val al = d(k)
           val v  = zz(k)
-          val full: Int =
-            if (al <= 0) { if (al < 0) 0 else v }
-            else if (k == 0) v << al // DC: two's-complement shift semantics
-            else if (v == 0) 0
+          val full =
+            if (al == 0 || v == 0) v
             else {
               val mag = (math.abs(v) << al) + (1 << (al - 1))
               if (v > 0) mag else -mag
             }
-          coefRm(ZigZag.order(k)) = full.toDouble * q(ZigZag.order(k))
-          k += 1
+          nonZeroAc |= full
+          val rm = ZigZag.order(k)
+          coefRm(rm) = full.toDouble * q(rm)
+          j += 1
         }
-        val sp = Dct.inverse(coefRm)
-        val bx = b % bw; val by = b / bw
-        var i = 0
-        while (i < 64) {
-          px((by * 8 + i / 8) * w + bx * 8 + i % 8) = PlanarImage.clamp255(sp(i) + 128.0)
-          i += 1
+        // DC: two's-complement shift semantics.
+        val dc = if (d(0) < 0) 0 else zz(0) << d(0)
+        coefRm(0) = dc.toDouble * q(0)
+        if (nonZeroAc == 0) {
+          val p = PlanarImage.clamp255((Dct.dcBasis * coefRm(0)) * Dct.dcBasis + 128.0)
+          var r = 0
+          while (r < 8) {
+            val row = origin + r * w
+            java.util.Arrays.fill(px, row, row + 8, p)
+            r += 1
+          }
+        } else {
+          Dct.inverse(coefRm, sp, tmp)
+          var i = 0
+          while (i < 64) {
+            px(origin + (i >> 3) * w + (i & 7)) = PlanarImage.clamp255(sp(i) + 128.0)
+            i += 1
+          }
         }
         b += 1
       }
@@ -173,15 +198,15 @@ object Codec {
               val v = pt(zz(k), spec.al)
               if (v == 0) run += 1
               else {
-                while (run > 15) { bw.writeBits(15, 4); bw.writeBits(0, 4); run -= 16 }
+                while (run > 15) { bw.writeBits(0xf0, 8); run -= 16 } // ZRL
                 val s = category(v)
-                bw.writeBits(run, 4); bw.writeBits(s, 4)
+                bw.writeBits((run << 4) | s, 8)
                 writeSigned(bw, v, s)
                 run = 0
               }
               k += 1
             }
-            if (run > 0) { bw.writeBits(0, 4); bw.writeBits(0, 4) } // EOB
+            if (run > 0) bw.writeBits(0, 8) // EOB
             b += 1
           }
         } else {
@@ -273,8 +298,9 @@ object Codec {
               var k = acStart
               var done = false
               while (k <= spec.se && !done) {
-                val run = br.readBits(4)
-                val s   = br.readBits(4)
+                val rs  = br.readBits(8)
+                val run = rs >>> 4
+                val s   = rs & 15
                 if (run == 0 && s == 0) done = true          // EOB
                 else if (run == 15 && s == 0) k += 16        // ZRL
                 else {

@@ -153,4 +153,77 @@ class CodecSpec extends AnyFunSuite with PropSupport {
     assertThrows[IllegalArgumentException](
       Codec.decodeProgressive(scans :+ Array[Byte](0), 80, 16, 16))
   }
+
+  // ----------------------------------------- reconstruction against reference
+
+  /** The reconstruction before the sparse IDCT: dequantize all 64 slots of
+    * every block and run the dense [[ReferenceDct]].
+    */
+  private def referenceFromCoefficients(
+      ci: CoefImage, quality: Int, depth: Array[Array[Int]]): PlanarImage = {
+    def plane(blocks: Array[Array[Int]], w: Int, h: Int, q: Array[Int], d: Array[Int]): Array[Int] = {
+      val bw = w / 8
+      val px = new Array[Int](w * h)
+      for ((zz, b) <- blocks.zipWithIndex) {
+        val coefRm = new Array[Double](64)
+        for (k <- 0 until 64) {
+          val al = d(k); val v = zz(k)
+          val full =
+            if (al <= 0) { if (al < 0) 0 else v }
+            else if (k == 0) v << al
+            else if (v == 0) 0
+            else {
+              val mag = (math.abs(v) << al) + (1 << (al - 1))
+              if (v > 0) mag else -mag
+            }
+          coefRm(ZigZag.order(k)) = full.toDouble * q(ZigZag.order(k))
+        }
+        val sp = ReferenceDct.inverse(coefRm)
+        for (i <- 0 until 64)
+          px(((b / bw) * 8 + i / 8) * w + (b % bw) * 8 + i % 8) = PlanarImage.clamp255(sp(i) + 128.0)
+      }
+      px
+    }
+    PlanarImage(ci.width, ci.height,
+      plane(ci.comps(0), ci.width, ci.height, Quantization.luma(quality), depth(0)),
+      plane(ci.comps(1), ci.width / 2, ci.height / 2, Quantization.chroma(quality), depth(1)),
+      plane(ci.comps(2), ci.width / 2, ci.height / 2, Quantization.chroma(quality), depth(2)))
+  }
+
+  private def samePixels(a: PlanarImage, b: PlanarImage): Boolean =
+    a.y.sameElements(b.y) && a.cb.sameElements(b.cb) && a.cr.sameElements(b.cr)
+
+  test("fromCoefficients equals the dense reference reconstruction at every scan prefix") {
+    val gen = for {
+      seed <- Gen.choose(0L, 10000L)
+      quality <- Gen.oneOf(50, 75, 92, 100)
+      g <- Gen.choose(0, 10)
+    } yield (seed, quality, g)
+    checkProp(Prop.forAll(gen) { case (seed, quality, g) =>
+      val img = if (seed % 2 == 0) randomImage(seed) else syntheticImage(seed)
+      val scans = Codec.encodeProgressive(img, quality).take(g)
+      val (ci, depth) = Codec.decodeScans(scans, ScanScript.progressive10, img.width, img.height)
+      samePixels(Codec.fromCoefficients(ci, quality, depth),
+        referenceFromCoefficients(ci, quality, depth))
+    }, 60)
+  }
+
+  test("DC-only blocks equal the dense reference for every DC value the quantizer emits") {
+    // These blocks take the constant fill, never the IDCT.
+    for (quality <- Seq(50, 92, 100)) {
+      val q00 = math.min(Quantization.luma(quality)(0), Quantization.chroma(quality)(0))
+      val dcs = (math.round(-1024.0 / q00).toInt to math.round(1016.0 / q00).toInt).toArray
+      // Luma has 4× the chroma blocks; every chroma block gets a value too.
+      val h = 16 * dcs.length
+      def blocks(n: Int) = Array.tabulate(n)(b => Array.tabulate(64)(k => if (k == 0) dcs(b % dcs.length) else 0))
+      val ci = CoefImage(16, h, Array(blocks(4 * dcs.length), blocks(dcs.length), blocks(dcs.length)))
+      // No AC slot received (scan 1), and AC received but all zero.
+      for (acDepth <- Seq(-1, 0)) {
+        val depth = Array.fill(3, 64)(acDepth)
+        depth.foreach(_(0) = 0)
+        assert(samePixels(Codec.fromCoefficients(ci, quality, depth),
+          referenceFromCoefficients(ci, quality, depth)), s"q=$quality acDepth=$acDepth")
+      }
+    }
+  }
 }

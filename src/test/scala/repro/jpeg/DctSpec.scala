@@ -64,4 +64,69 @@ class DctSpec extends AnyFunSuite with PropSupport {
     f.indices.filter(_ != u0 * 8 + v0).foreach(i => assert(math.abs(f(i)) < 1e-9))
     assert(math.abs(f(u0 * 8 + v0)) > 1.0)
   }
+
+  // ------------------------------------------- exactness against ReferenceDct
+
+  private def sameBits(a: Array[Double], b: Array[Double]): Boolean =
+    a.length == b.length && a.indices.forall { i =>
+      java.lang.Double.doubleToRawLongBits(a(i)) == java.lang.Double.doubleToRawLongBits(b(i))
+    }
+
+  /** A dequantized coefficient: a quantized integer times a table entry,
+    * or an arbitrary double.
+    */
+  private val coefGen: Gen[Double] = Gen.oneOf(
+    for { v <- Gen.choose(-1024, 1024); q <- Gen.choose(1, 255) } yield v.toDouble * q,
+    Gen.choose(-4096.0, 4096.0))
+
+  private val dcOnlyGen: Gen[Array[Double]] =
+    coefGen.map(dc => Array.tabulate(64)(i => if (i == 0) dc else 0.0))
+
+  private val lineGen: Gen[Array[Double]] = for {
+    line <- Gen.choose(0, 7)
+    isRow <- Gen.oneOf(true, false)
+    vals <- Gen.containerOfN[Array, Double](8, Gen.frequency(3 -> coefGen, 1 -> Gen.const(0.0)))
+  } yield Array.tabulate(64) { i =>
+    val (u, v) = (i / 8, i % 8)
+    if (isRow && u == line) vals(v) else if (!isRow && v == line) vals(u) else 0.0
+  }
+
+  private val sparseGen: Gen[Array[Double]] = for {
+    density <- Gen.choose(0, 64)
+    picks <- Gen.containerOfN[Array, Int](64, Gen.choose(0, 63))
+    vals <- Gen.containerOfN[Array, Double](64, coefGen)
+  } yield Array.tabulate(64)(i => if (picks(i) < density) vals(i) else 0.0)
+
+  private val denseGen: Gen[Array[Double]] =
+    Gen.containerOfN[Array, Double](64, coefGen.suchThat(_ != 0.0))
+
+  private val kinds = Seq(
+    "DC-only" -> dcOnlyGen, "one row or column" -> lineGen,
+    "random density" -> sparseGen, "dense" -> denseGen)
+
+  for ((kind, gen) <- kinds) {
+    test(s"inverse equals ReferenceDct bit for bit on $kind blocks") {
+      // Scratch buffers are reused dirty across cases, as in the decoder.
+      val out = new Array[Double](64); val tmp = new Array[Double](64)
+      checkProp(Prop.forAll(gen) { c =>
+        Dct.inverse(c, out, tmp)
+        val ref = ReferenceDct.inverse(c)
+        sameBits(out, ref) && sameBits(Dct.inverse(c), ref)
+      }, 300)
+    }
+
+    test(s"forward equals ReferenceDct bit for bit on $kind blocks") {
+      val out = new Array[Double](64); val tmp = new Array[Double](64)
+      checkProp(Prop.forAll(gen) { b =>
+        Dct.forward(b, out, tmp)
+        val ref = ReferenceDct.forward(b)
+        sameBits(out, ref) && sameBits(Dct.forward(b), ref)
+      }, 300)
+    }
+  }
+
+  test("forward equals ReferenceDct bit for bit on level-shifted pixel blocks") {
+    val pixels = Gen.containerOfN[Array, Double](64, Gen.choose(0, 255).map(_ - 128.0))
+    checkProp(Prop.forAll(pixels)(b => sameBits(Dct.forward(b), ReferenceDct.forward(b))), 300)
+  }
 }
