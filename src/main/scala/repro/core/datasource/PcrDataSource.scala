@@ -2,18 +2,23 @@ package repro.core.datasource
 
 import java.util
 
+import scala.annotation.switch
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
-import org.apache.spark.sql.connector.expressions.Transform
+import org.apache.spark.sql.connector.expressions.{Expression, Literal, NamedReference, Transform}
+import org.apache.spark.sql.connector.expressions.filter.Predicate
+import org.apache.spark.sql.connector.metric.{CustomMetric, CustomSumMetric, CustomTaskMetric}
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.sources.DataSourceRegister
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
-import repro.core.PcrDecoder
+import repro.core.{PcrDecoder, PcrHeader}
+import repro.imaging.PlanarImage
+import repro.jpeg.Codec
 
 /** DataSourceV2 reader for PCR directories — the Spark embodiment of the
   * paper's loader (§5): each partition reads one record file's byte
@@ -28,6 +33,13 @@ import repro.core.PcrDecoder
   * Schema: `id, label, width, height, scan_group, bytes_read, y, cb, cr`
   * where `bytes_read` is the record prefix length amortized per image and
   * the planes are decoded pixels (one unsigned byte each).
+  *
+  * The scan reads only the columns a query uses. A query that uses none of
+  * `y`, `cb`, `cr` reads each record's header and nothing else: every
+  * other column is in the header (§3, Fig. 4). Predicates on `id` and
+  * `label` are evaluated against the header, so images that fail them are
+  * never decoded, and a record none of whose images pass is never
+  * prefix-read. Spark re-checks every predicate after the scan.
   */
 class PcrDataSource extends TableProvider with DataSourceRegister {
   override def shortName(): String = "pcr"
@@ -52,6 +64,11 @@ object PcrTable {
     StructField("y", BinaryType, nullable = false),
     StructField("cb", BinaryType, nullable = false),
     StructField("cr", BinaryType, nullable = false)))
+
+  /** Ordinal of `y`; this and every later column needs a decode. */
+  val FirstPlane: Int = schema.fieldIndex("y")
+
+  val AllColumns: Array[Int] = schema.indices.toArray
 }
 
 class PcrTable(tablePath: Option[String]) extends Table with SupportsRead {
@@ -69,36 +86,104 @@ class PcrTable(tablePath: Option[String]) extends Table with SupportsRead {
   }
 }
 
-class PcrScanBuilder(dir: String, scanGroup: Int) extends ScanBuilder {
-  override def build(): Scan = new PcrScan(dir, scanGroup)
+class PcrScanBuilder(dir: String, scanGroup: Int) extends ScanBuilder
+    with SupportsPushDownRequiredColumns with SupportsPushDownV2Filters {
+  private var required = PcrTable.schema
+  private var pushed = Array.empty[(Predicate, ImageFilter.Keep)]
+
+  override def pruneColumns(requiredSchema: StructType): Unit = {
+    val names = requiredSchema.fieldNames.toSet
+    required = StructType(PcrTable.schema.filter(f => names(f.name)))
+  }
+
+  /** Keeps the predicates [[ImageFilter]] can evaluate on a header and
+    * returns all of them, so Spark still applies each after the scan.
+    */
+  override def pushPredicates(predicates: Array[Predicate]): Array[Predicate] = {
+    pushed = predicates.flatMap(p => ImageFilter.compile(p).map(p -> _))
+    predicates
+  }
+
+  override def pushedPredicates(): Array[Predicate] = pushed.map(_._1)
+
+  override def build(): Scan = new PcrScan(dir, scanGroup, required, pushed)
 }
 
-class PcrScan(dir: String, scanGroup: Int) extends Scan with Batch {
-  override def readSchema(): StructType = PcrTable.schema
+class PcrScan(
+    dir: String,
+    scanGroup: Int,
+    columns: StructType,
+    pushed: Array[(Predicate, ImageFilter.Keep)]) extends Scan with Batch {
+  override def readSchema(): StructType = columns
   override def toBatch: Batch = this
-  override def description(): String = s"PcrScan(dir=$dir, scanGroup=$scanGroup)"
+  override def description(): String =
+    s"PcrScan(dir=$dir, scanGroup=$scanGroup, columns=[${columns.fieldNames.mkString(", ")}], " +
+      s"pushed=[${pushed.map(_._1).mkString(", ")}])"
+
+  override def supportedCustomMetrics(): Array[CustomMetric] =
+    Array(new ImagesDecodedMetric, new RecordBytesReadMetric)
 
   override def planInputPartitions(): Array[InputPartition] =
     repro.core.PcrEncoder.listRecords(dir)
       .map(p => PcrInputPartition(p, scanGroup): InputPartition)
       .toArray
 
-  override def createReaderFactory(): PartitionReaderFactory = new PcrReaderFactory
+  override def createReaderFactory(): PartitionReaderFactory = new PcrReaderFactory(
+    columns.fieldNames.map(PcrTable.schema.fieldIndex),
+    pushed.map(_._2).reduceOption(ImageFilter.and))
 }
 
 case class PcrInputPartition(path: String, scanGroup: Int) extends InputPartition
 
-class PcrReaderFactory extends PartitionReaderFactory {
+/** `columns` are table ordinals in output order; `keep` is the conjunction
+  * of the pushed predicates, if any.
+  */
+class PcrReaderFactory(
+    columns: Array[Int] = PcrTable.AllColumns,
+    keep: Option[ImageFilter.Keep] = None) extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
     val p = partition.asInstanceOf[PcrInputPartition]
-    new PcrPartitionReader(p.path, p.scanGroup)
+    new PcrPartitionReader(p.path, p.scanGroup, columns, keep)
   }
 }
 
-/** Reads one record file's prefix and emits one row per decoded image. */
-class PcrPartitionReader(path: String, scanGroup: Int) extends PartitionReader[InternalRow] {
-  private lazy val images = PcrDecoder.readRecord(path, scanGroup).iterator
+/** Reads one record file and emits one row per image that passes `keep`,
+  * holding only `columns`. Without a pixel column it reads the header
+  * alone. Otherwise it reads the prefix for `scanGroup` and decodes every
+  * kept image on the first `next()`; with a filter it reads the header
+  * first, and reads no prefix when no image passes.
+  */
+class PcrPartitionReader(
+    path: String,
+    scanGroup: Int,
+    columns: Array[Int],
+    keep: Option[ImageFilter.Keep]) extends PartitionReader[InternalRow] {
+  private val decodes = columns.exists(_ >= PcrTable.FirstPlane)
+  private var header: PcrHeader = _
+  private var g = 0
+  private var bytesRead = 0.0
+  private var kept: Array[Int] = _            // record indices of the rows
+  private var images: Array[PlanarImage] = _  // decoded images, parallel to `kept`
+  private var row = -1
   private var current: InternalRow = _
+  private var fetched = 0L
+
+  private def open(): Unit = {
+    if (!decodes || keep.isDefined) {
+      header = PcrDecoder.readHeader(path)
+      fetched += header.headerLength
+      kept = header.ids.indices.filter(k => keep.forall(_(header.ids(k), header.labels(k)))).toArray
+    }
+    if (decodes && (kept == null || kept.nonEmpty)) {
+      val (h, entries) = PcrDecoder.readRecordRaw(path, scanGroup)
+      header = h
+      if (kept == null) kept = Array.range(0, h.nImages)
+      fetched += h.prefixLength(math.min(scanGroup, h.nScanGroups))
+      images = kept.map(k => Codec.decodeProgressive(entries(k).scans, h.quality, h.width, h.height))
+    }
+    g = math.min(scanGroup, header.nScanGroups)
+    bytesRead = header.prefixLength(g).toDouble / header.nImages
+  }
 
   private def planeBytes(p: Array[Int]): Array[Byte] = {
     val out = new Array[Byte](p.length)
@@ -107,16 +192,111 @@ class PcrPartitionReader(path: String, scanGroup: Int) extends PartitionReader[I
     out
   }
 
-  override def next(): Boolean =
-    if (!images.hasNext) false
+  override def next(): Boolean = {
+    if (kept == null) open()
+    row += 1
+    if (row >= kept.length) false
     else {
-      val d = images.next()
-      current = new GenericInternalRow(Array[Any](
-        d.id, d.label, d.image.width, d.image.height, d.scanGroup, d.bytesRead,
-        planeBytes(d.image.y), planeBytes(d.image.cb), planeBytes(d.image.cr)))
+      val k = kept(row)
+      val values = new Array[Any](columns.length)
+      var c = 0
+      while (c < columns.length) {
+        values(c) = (columns(c): @switch) match {
+          case 0 => header.ids(k)
+          case 1 => header.labels(k)
+          case 2 => header.width
+          case 3 => header.height
+          case 4 => g
+          case 5 => bytesRead
+          case 6 => planeBytes(images(row).y)
+          case 7 => planeBytes(images(row).cb)
+          case 8 => planeBytes(images(row).cr)
+        }
+        c += 1
+      }
+      current = new GenericInternalRow(values)
       true
     }
+  }
 
   override def get(): InternalRow = current
+
+  override def currentMetricsValues(): Array[CustomTaskMetric] = Array(
+    TaskMetric(ImagesDecodedMetric.Name, if (images == null) 0L else images.length.toLong),
+    TaskMetric(RecordBytesReadMetric.Name, fetched))
+
   override def close(): Unit = ()
 }
+
+/** Compiles a V2 predicate on `id` and `label` (comparisons, `IN`, `AND`,
+  * `OR`, `NOT`, against non-null integral literals) into a test of one
+  * image's header entry. Any other predicate does not compile.
+  */
+object ImageFilter {
+  type Keep = (Long, Int) => Boolean
+
+  def and(a: Keep, b: Keep): Keep = (id, label) => a(id, label) && b(id, label)
+
+  private val Flipped = Map("=" -> "=", "<=>" -> "<=>", "<>" -> "<>",
+    "<" -> ">", "<=" -> ">=", ">" -> "<", ">=" -> "<=")
+
+  def compile(e: Expression): Option[Keep] = e match {
+    case p: Predicate => (p.name(), p.children().toSeq) match {
+      case ("AND", Seq(l, r)) => for (a <- compile(l); b <- compile(r)) yield and(a, b)
+      case ("OR", Seq(l, r)) =>
+        for (a <- compile(l); b <- compile(r)) yield (id: Long, label: Int) => a(id, label) || b(id, label)
+      case ("NOT", Seq(c)) => compile(c).map(a => (id: Long, label: Int) => !a(id, label))
+      case ("IN", (ref: NamedReference) +: values) =>
+        val lits = values.flatMap(literal)
+        if (lits.size < values.size) None
+        else column(ref).map { get => val set = lits.toSet; (id: Long, label: Int) => set(get(id, label)) }
+      case (op, Seq(ref: NamedReference, v)) if Flipped.contains(op) => compare(op, ref, v)
+      case (op, Seq(v, ref: NamedReference)) if Flipped.contains(op) => compare(Flipped(op), ref, v)
+      case _ => None
+    }
+    case _ => None
+  }
+
+  private def compare(op: String, ref: NamedReference, v: Expression): Option[Keep] =
+    for (get <- column(ref); x <- literal(v)) yield op match {
+      case "=" | "<=>" => (id: Long, label: Int) => get(id, label) == x
+      case "<>" => (id: Long, label: Int) => get(id, label) != x
+      case "<" => (id: Long, label: Int) => get(id, label) < x
+      case "<=" => (id: Long, label: Int) => get(id, label) <= x
+      case ">" => (id: Long, label: Int) => get(id, label) > x
+      case ">=" => (id: Long, label: Int) => get(id, label) >= x
+    }
+
+  private def column(ref: NamedReference): Option[(Long, Int) => Long] = ref.fieldNames().toSeq match {
+    case Seq("id") => Some((id, _) => id)
+    case Seq("label") => Some((_, label) => label.toLong)
+    case _ => None
+  }
+
+  private def literal(e: Expression): Option[Long] = e match {
+    case l: Literal[_] => l.value() match {
+      case v: java.lang.Long => Some(v.longValue)
+      case v: java.lang.Integer => Some(v.longValue)
+      case v: java.lang.Short => Some(v.longValue)
+      case v: java.lang.Byte => Some(v.longValue)
+      case _ => None
+    }
+    case _ => None
+  }
+}
+
+class ImagesDecodedMetric extends CustomSumMetric {
+  override def name(): String = ImagesDecodedMetric.Name
+  override def description(): String = "images decoded"
+}
+
+object ImagesDecodedMetric { val Name = "imagesDecoded" }
+
+class RecordBytesReadMetric extends CustomSumMetric {
+  override def name(): String = RecordBytesReadMetric.Name
+  override def description(): String = "record bytes read"
+}
+
+object RecordBytesReadMetric { val Name = "recordBytesRead" }
+
+private final case class TaskMetric(name: String, value: Long) extends CustomTaskMetric

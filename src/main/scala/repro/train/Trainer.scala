@@ -26,10 +26,17 @@ object Trainer {
       .select("id", "label", "width", "height", "y", "cb", "cr")
       .as[(Long, Int, Int, Int, Array[Byte], Array[Byte], Array[Byte])]
       .map { case (id, label, w, h, y, cb, cr) =>
-        def unsigned(a: Array[Byte]): Array[Int] = a.map(b => b & 0xff)
         val img = PlanarImage(w, h, unsigned(y), unsigned(cb), unsigned(cr))
         LabeledVec(id, labelMap(label), arch.extract(img))
       }
+  }
+
+  /** A plane of unsigned bytes as the pixel values 0–255. */
+  private def unsigned(a: Array[Byte]): Array[Int] = {
+    val out = new Array[Int](a.length)
+    var i = 0
+    while (i < a.length) { out(i) = a(i) & 0xff; i += 1 }
+    out
   }
 
   /** Deterministic 80/20 split on image id. */

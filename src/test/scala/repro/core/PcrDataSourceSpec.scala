@@ -1,16 +1,20 @@
 package repro.core
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths, StandardOpenOption}
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.datasources.v2.BatchScanExec
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.imaging.SyntheticImages
 
-/** The DataSourceV2 `pcr` reader: fidelity option, schema, and SQL-level
-  * equivalence of the metadata path against DuckDB.
+/** The DataSourceV2 `pcr` reader: fidelity option, schema, SQL-level
+  * equivalence of the metadata path against DuckDB, and column pruning,
+  * predicate pushdown and scan metrics.
   */
-class PcrDataSourceSpec extends SparkSpec {
+class PcrDataSourceSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val dir = Files.createTempDirectory("pcr-dsv2").toString
   private val spec = SyntheticImages.celebahq
@@ -84,5 +88,126 @@ class PcrDataSourceSpec extends SparkSpec {
 
   test("scanGroup below 1 is rejected") {
     assertThrows[Exception](read(0).count())
+  }
+
+  private lazy val meta = SynthData.imageMeta(spark, spec.name, sf)
+
+  private def scanOf(df: DataFrame): BatchScanExec = {
+    val scans = collect(df.queryExecution.executedPlan) { case s: BatchScanExec => s }
+    assert(scans.size == 1, df.queryExecution.executedPlan)
+    scans.head
+  }
+
+  /** Runs `df` and returns the metrics of its one `pcr` scan. */
+  private def scanMetrics(df: DataFrame): Map[String, Long] = {
+    df.collect()
+    scanOf(df).metrics.map { case (k, m) => k -> m.value }
+  }
+
+  test("a pruned id/label selection matches DuckDB") {
+    val df = read(10).select("id", "label")
+    assert(scanOf(df).output.map(_.name) == Seq("id", "label"))
+    Oracle.assertEquivalent(df, "SELECT id, label FROM meta", "meta" -> meta)
+  }
+
+  test("count() matches DuckDB") {
+    Oracle.assertEquivalent(read(10).agg(count(lit(1)) as "n"),
+      "SELECT count(*) AS n FROM meta", "meta" -> meta)
+  }
+
+  test("mean bytes_read at g in {1, 5, 10} matches DuckDB over the record prefix lengths") {
+    for (g <- Seq(1, 5, 10)) {
+      val records = spark.createDataFrame(manifests.map(m =>
+        (m.recordIndex, PcrDecoder.prefixBytes(m.path, g).toDouble / m.nImages)))
+        .toDF("record", "per_image")
+      Oracle.assertEquivalent(read(g).agg(round(avg("bytes_read"), 3) as "mean_bytes"),
+        "SELECT round(avg(CAST(r.per_image AS DOUBLE)), 3) AS mean_bytes FROM meta m " +
+          s"JOIN records r ON CAST(m.id AS BIGINT) // ${spec.imagesPerRecord} = CAST(r.record AS BIGINT)",
+        "meta" -> meta, "records" -> records)
+    }
+  }
+
+  test("label IN and id < k pushed into the scan match DuckDB") {
+    val df = read(5).where(col("label").isin(1, 3) && col("id") < 50)
+      .groupBy("label").agg(count(lit(1)) as "n")
+    Oracle.assertEquivalent(df,
+      "SELECT label, count(*) AS n FROM meta " +
+        "WHERE CAST(label AS INT) IN (1, 3) AND CAST(id AS BIGINT) < 50 GROUP BY label",
+      "meta" -> meta)
+  }
+
+  test("OR, NOT, <> and literal-first comparisons are pushed and match DuckDB") {
+    for (cond <- Seq("NOT (label = 1) OR 11 > id", "label <> 0 AND id BETWEEN 20 AND 99",
+        "NOT (id IN (1, 2, 3) OR id >= 12)")) {
+      val df = read(1).where(cond).select("id", "label")
+      val n = df.count()
+      assert(scanMetrics(read(1).where(cond).select("id", "y"))("imagesDecoded") == n, cond)
+      Oracle.assertEquivalent(df,
+        s"SELECT id, label FROM (SELECT CAST(id AS BIGINT) AS id, CAST(label AS INT) AS label FROM meta) " +
+          s"WHERE $cond",
+        "meta" -> meta)
+    }
+  }
+
+  test("a predicate on another column is not pushed but still applies") {
+    val df = read(1).where(col("width") > 0 && col("label") === 1).select("id")
+    val desc = scanOf(df).scan.description()
+    assert(desc.contains("pushed=[label = 1]"), desc)
+    Oracle.assertEquivalent(df, "SELECT id FROM meta WHERE CAST(label AS INT) = 1", "meta" -> meta)
+  }
+
+  test("a filtered pixel query decodes exactly the matching images, equal to the library's") {
+    val label = 1
+    val df = read(5).select("id", "y").where(col("label") === label)
+    val rows = df.collect().map(r => r.getLong(0) -> r.getAs[Array[Byte]](1)).toMap
+    val direct = manifests.flatMap(m => PcrDecoder.readRecord(m.path, 5)).filter(_.label == label)
+    assert(rows.keySet == direct.map(_.id).toSet)
+    for (d <- direct) assert(rows(d.id).map(b => b & 0xff).sameElements(d.image.y), s"image ${d.id}")
+    assert(scanMetrics(df)("imagesDecoded") == direct.size)
+  }
+
+  test("a record with no image passing the filter is not prefix-read") {
+    val first = manifests.minBy(_.recordIndex)
+    val otherHeaders = manifests.filter(_ != first).map(_.groupEndOffsets.head).sum
+    val m = scanMetrics(read(5).select("y").where(col("id") < first.nImages))
+    assert(m("imagesDecoded") == first.nImages)
+    assert(m("recordBytesRead") == first.groupEndOffsets.head + first.prefixBytes(5) + otherHeaders)
+  }
+
+  test("metadata queries read only the header: a record cut after its header answers them") {
+    val m = manifests.head
+    val intact = Files.createTempDirectory("pcr-intact")
+    val cut = Files.createTempDirectory("pcr-cut")
+    val name = Paths.get(m.path).getFileName
+    Files.copy(Paths.get(m.path), intact.resolve(name))
+    Files.write(cut.resolve(name), Files.readAllBytes(Paths.get(m.path)).take(m.groupEndOffsets.head.toInt),
+      StandardOpenOption.CREATE_NEW)
+    def load(dir: java.nio.file.Path) = spark.read.format("pcr").option("scanGroup", 5).load(dir.toString)
+    def rows(df: DataFrame) = df.collect().map(_.toSeq).toSet
+    for (q <- Seq[DataFrame => DataFrame](
+        _.select("id", "label", "bytes_read"),
+        _.groupBy("label").count(),
+        _.where(col("label") === 1).select("id"),
+        _.agg(count(lit(1)))))
+      assert(rows(q(load(cut))) == rows(q(load(intact))))
+    assert(load(cut).count() == m.nImages)
+    assertThrows[Exception](load(cut).select("id", "y").collect())
+  }
+
+  test("a label-only query decodes no image; a full scan decodes and reads bytes") {
+    val labels = scanMetrics(read(10).groupBy("label").count())
+    assert(labels("imagesDecoded") == 0 && labels("recordBytesRead") > 0, labels)
+    val full = scanMetrics(read(10))
+    assert(full("imagesDecoded") == spec.numImages(sf), full)
+    assert(full("recordBytesRead") == manifests.map(_.totalBytes).sum, full)
+  }
+
+  test("explain shows the pruned columns and the pushed predicates") {
+    val out = new java.io.ByteArrayOutputStream
+    Console.withOut(out)(read(5).where(col("label") === 1 && col("id") < 7).select("id").explain())
+    val plan = out.toString
+    assert(plan.contains("columns=[id, label]"), plan)
+    val pushed = plan.drop(plan.indexOf("pushed=[")).takeWhile(_ != ']')
+    assert(pushed.contains("label = 1") && pushed.contains("id < 7"), plan)
   }
 }
