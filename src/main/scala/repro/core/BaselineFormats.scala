@@ -61,22 +61,12 @@ object BaselineFormats {
       seed: Long = 0L,
       qualityOverride: Option[Int] = None): Seq[(String, Long)] = {
     import spark.implicits._
-    Files.createDirectories(Paths.get(outDir))
-    val n = spec.numImages(sf)
     val q = qualityOverride.getOrElse(spec.quality)
-    spark.range(n).as[Long]
-      .groupByKey(_ / spec.imagesPerRecord)
-      .mapGroups { (rec, ids) =>
-        val images = ids.toArray.sorted.map { id =>
-          val img = SyntheticImages.generate(spec, id, seed)
-          (id, SyntheticImages.label(spec, id), Codec.encodeSequential(img, q))
-        }
-        val bytes = serializeRecord(spec.width, spec.height, q, images.toSeq)
-        val path = Paths.get(outDir, f"record-$rec%05d.tfr")
-        Files.write(path, bytes)
-        (path.toString, bytes.length.toLong)
-      }
-      .collect().toSeq.sortBy(_._1)
+    RecordWriter.writeRecords(spark, spec.numImages(sf), spec.imagesPerRecord, outDir, "tfr") { ids =>
+      serializeRecord(spec.width, spec.height, q, ids.map { id =>
+        (id, SyntheticImages.label(spec, id), Codec.encodeSequential(SyntheticImages.generate(spec, id, seed), q))
+      })
+    }((path, _, bytes) => (path, bytes.length.toLong))
   }
 
   /** Decode every image of a TFRecord-like file. */

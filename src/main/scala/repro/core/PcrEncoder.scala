@@ -2,7 +2,7 @@ package repro.core
 
 import java.nio.file.{Files, Paths}
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 
 import repro.imaging.{DatasetSpec, SyntheticImages}
 import repro.jpeg.{Codec, ScanScript, ScanSpec}
@@ -19,11 +19,10 @@ final case class RecordManifest(
 
 /** The PCR encoder (§5 "Encoding") as a Spark job.
   *
-  * Image ids are grouped into records of `spec.imagesPerRecord`, each group
-  * is encoded on an executor (generate pixels → progressive-encode → gather
-  * scans into scan groups → serialize with the offset index), and the record
-  * file is written to the local filesystem. Only (id, record) pairs are
-  * shuffled — pixels never leave the executor that generates them.
+  * Each record of `spec.imagesPerRecord` contiguous ids is one task of
+  * [[RecordWriter]]: it generates the pixels, progressive-encodes them,
+  * gathers the scans into scan groups, serializes the record with its
+  * offset index and writes the file. Nothing is shuffled.
   */
 object PcrEncoder {
 
@@ -38,31 +37,16 @@ object PcrEncoder {
       seed: Long = 0L,
       script: Seq[ScanSpec] = ScanScript.progressive10): Seq[RecordManifest] = {
     import spark.implicits._
-    Files.createDirectories(Paths.get(outDir))
-    val n = spec.numImages(sf)
-    val ipr = spec.imagesPerRecord
     val scriptV = script.toVector
-
-    val ids: Dataset[Long] = spark.range(n).as[Long]
-    ids
-      .groupByKey(_ / ipr)
-      .mapGroups { (rec, idIter) =>
-        val recIds = idIter.toArray.sorted
-        val entries = recIds.map { id =>
-          val img = SyntheticImages.generate(spec, id, seed)
-          val scans = Codec.encodeProgressive(img, spec.quality, scriptV)
-          PcrImageEntry(id, SyntheticImages.label(spec, id), scans)
-        }
-        val bytes = PcrRecord.serialize(spec.width, spec.height, spec.quality, entries.toSeq)
-        val path = Paths.get(outDir, f"record-$rec%05d.pcr")
-        Files.write(path, bytes)
-        val header = PcrRecord.parseHeader(bytes)
-        RecordManifest(path.toString, rec, entries.length, bytes.length.toLong,
-          header.groupEndOffsets.toSeq)
-      }
-      .collect()
-      .sortBy(_.recordIndex)
-      .toSeq
+    RecordWriter.writeRecords(spark, spec.numImages(sf), spec.imagesPerRecord, outDir, "pcr") { ids =>
+      PcrRecord.serialize(spec.width, spec.height, spec.quality, ids.map { id =>
+        val img = SyntheticImages.generate(spec, id, seed)
+        PcrImageEntry(id, SyntheticImages.label(spec, id), Codec.encodeProgressive(img, spec.quality, scriptV))
+      })
+    } { (path, rec, bytes) =>
+      val header = PcrRecord.parseHeader(bytes)
+      RecordManifest(path, rec, header.nImages, bytes.length.toLong, header.groupEndOffsets.toSeq)
+    }
   }
 
   /** List the record files of an encoded dataset directory, sorted. */

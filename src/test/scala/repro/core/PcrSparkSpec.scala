@@ -1,6 +1,7 @@
 package repro.core
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
+import java.security.MessageDigest
 
 import repro.SparkSpec
 import repro.imaging.SyntheticImages
@@ -86,5 +87,31 @@ class PcrSparkSpec extends SparkSpec {
   test("record ids partition the dataset without overlap") {
     val ids = manifests.flatMap(m => PcrDecoder.readHeader(m.path).ids)
     assert(ids.sorted == (0L until spec.numImages(sf)))
+  }
+
+  test("a dataset that is not a multiple of imagesPerRecord ends in a short record, byte for byte") {
+    val sfShort = 300.0 / 12800 // 300 images → 128 + 128 + 44
+    val pcrDir = Files.createTempDirectory("pcr-short").toString
+    val tfrDir = Files.createTempDirectory("tfr-short").toString
+    val pcr = PcrEncoder.encodeDataset(spark, spec, sfShort, pcrDir)
+    val tfr = BaselineFormats.writeTfRecordLike(spark, spec, sfShort, tfrDir)
+    assert(pcr.map(_.nImages) == Seq(128, 128, 44))
+    assert(pcr.map(_.recordIndex) == Seq(0L, 1L, 2L))
+    val ids = pcr.map(m => PcrDecoder.readHeader(m.path).ids.toSeq)
+    assert(ids == Seq(0L until 128L, 128L until 256L, 256L until 300L))
+    assert(tfr.map { case (p, _) => BaselineFormats.readTfRecordLike(p).map(_._1) } == ids)
+
+    def sha256(path: String): String =
+      MessageDigest.getInstance("SHA-256").digest(Files.readAllBytes(Paths.get(path)))
+        .map(b => f"$b%02x").mkString
+    // Pinned: a change to how records are written must not change a byte of them.
+    val digests = (pcr.map(_.path) ++ tfr.map(_._1)).map(p => Paths.get(p).getFileName.toString -> sha256(p))
+    assert(digests == Seq(
+      "record-00000.pcr" -> "9385cd2f428f8b3f9fa21d6f51e6786694dbe4b19fc8c7d9efddf3f3e6afdbc6",
+      "record-00001.pcr" -> "1511f759e07d0d872cc2f20caa9fe7c451836b652e41ccc83aa749d7214f221f",
+      "record-00002.pcr" -> "522f81659fc34e4075e5cb87ee46caa9c8296ee611aa6baee01e67e716e00869",
+      "record-00000.tfr" -> "40a09a2380f9eb3f61447c70811c8bc7f68512d25ae1f5b6aa7884efd5fc8d49",
+      "record-00001.tfr" -> "06cdd1cb79b2f6e9678a290630743e8fb30ed8e7a67a6ecea44f5630be031b8e",
+      "record-00002.tfr" -> "6d469a07df55f336cc1cf5a2a38b3f3ca0172305ffbd9bbe1a26df3942a89b9c"))
   }
 }

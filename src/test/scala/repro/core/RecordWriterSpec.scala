@@ -1,0 +1,114 @@
+package repro.core
+
+import java.nio.file.{Files, Path, Paths}
+import java.util.UUID
+
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerTaskEnd}
+
+import repro.SparkSpec
+import repro.imaging.SyntheticImages
+
+/** The shared record writer: atomic record files, and one shuffle-free task
+  * per record for both the PCR and the TFRecord-like writer.
+  */
+class RecordWriterSpec extends SparkSpec {
+
+  private def names(dir: Path): Seq[String] = {
+    val s = Files.list(dir)
+    try s.iterator().asScala.map(_.getFileName.toString).toSeq.sorted
+    finally s.close()
+  }
+
+  test("a serializer that throws for one record leaves neither a final nor a temp file for it") {
+    import spark.implicits._
+    val dir = Files.createTempDirectory("writer-fail")
+    intercept[Exception] {
+      RecordWriter.writeRecords(spark, 300L, 128, dir.toString, "pcr") { ids =>
+        if (ids.head == 128L) throw new IllegalStateException("serializer failed")
+        Array.fill(ids.length)(1.toByte)
+      }((path, _, _) => path)
+    }
+    assert(!names(dir).exists(_.contains("record-00001")), names(dir))
+  }
+
+  test("writeAtomically replaces an existing record and cleans up after a failed rename") {
+    val dir = Files.createTempDirectory("writer-atomic")
+    val path = dir.resolve("record-00000.tfr")
+    RecordWriter.writeAtomically(path, Array[Byte](1, 2, 3))
+    RecordWriter.writeAtomically(path, Array[Byte](4, 5))
+    assert(Files.readAllBytes(path).toSeq == Seq[Byte](4, 5))
+    assert(names(dir) == Seq("record-00000.tfr"))
+    // A non-empty directory in the record's place makes the rename fail.
+    val blocked = Files.createDirectories(dir.resolve("record-00001.tfr"))
+    Files.write(blocked.resolve("x"), Array[Byte](0))
+    intercept[java.io.IOException](RecordWriter.writeAtomically(blocked, Array[Byte](7)))
+    assert(names(dir) == Seq("record-00000.tfr", "record-00001.tfr"))
+  }
+
+  test("listRecords ignores a stray temp file") {
+    val dir = Files.createTempDirectory("writer-stray")
+    RecordWriter.writeAtomically(dir.resolve("record-00000.pcr"), Array[Byte](1))
+    Files.write(dir.resolve(s".record-00001.pcr.${UUID.randomUUID()}.tmp"), Array[Byte](1))
+    assert(PcrEncoder.listRecords(dir.toString) == Seq(dir.resolve("record-00000.pcr").toString))
+  }
+
+  /** Tasks run and shuffle bytes written by the Spark jobs of `work`. */
+  private def taskStats(work: => Unit): (Int, Long) = {
+    val listener = new GroupTaskListener(s"record-writer-${UUID.randomUUID()}")
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(listener.group, "record writer parallelism")
+      try work finally sc.clearJobGroup()
+      // Task-end events reach the listener before their job's end event.
+      val deadline = System.currentTimeMillis() + 10000
+      while (!listener.settled && System.currentTimeMillis() < deadline) Thread.sleep(10)
+      assert(listener.settled, "listener did not see the writer's jobs end")
+      listener.stats
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("both writers run one task per record and shuffle nothing") {
+    val spec = SyntheticImages.cars
+    val sf = 0.1 // 80 images → records of 64 and 16
+    val pcrDir = Files.createTempDirectory("writer-pcr").toString
+    val tfrDir = Files.createTempDirectory("writer-tfr").toString
+    var pcr = Seq.empty[RecordManifest]
+    var tfr = Seq.empty[(String, Long)]
+    assert(taskStats { pcr = PcrEncoder.encodeDataset(spark, spec, sf, pcrDir) } == ((2, 0L)))
+    assert(taskStats { tfr = BaselineFormats.writeTfRecordLike(spark, spec, sf, tfrDir) } == ((2, 0L)))
+    assert(pcr.map(_.nImages) == Seq(64, 16))
+    assert(tfr.map(t => Paths.get(t._1).getFileName.toString) == Seq("record-00000.tfr", "record-00001.tfr"))
+  }
+}
+
+/** Counts the tasks and shuffle-write bytes of the jobs of one job group. */
+final class GroupTaskListener(val group: String) extends SparkListener {
+  private val jobs = mutable.Set.empty[Int]
+  private val stages = mutable.Set.empty[Int]
+  private var jobsEnded = 0
+  private var tasks = 0
+  private var shuffleBytes = 0L
+
+  override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+    if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) {
+      jobs += e.jobId
+      stages ++= e.stageIds
+    }
+  }
+  override def onJobEnd(e: SparkListenerJobEnd): Unit = synchronized {
+    if (jobs(e.jobId)) jobsEnded += 1
+  }
+  override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+    if (stages(e.stageId)) {
+      tasks += 1
+      shuffleBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten
+    }
+  }
+
+  def settled: Boolean = synchronized(jobs.nonEmpty && jobsEnded == jobs.size)
+  def stats: (Int, Long) = synchronized((tasks, shuffleBytes))
+}
