@@ -3,12 +3,14 @@ package repro.core.datasource
 import java.util
 
 import scala.annotation.switch
+import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.{Expression, Literal, NamedReference, Transform}
+import org.apache.spark.sql.connector.expressions.aggregate.{Aggregation, Count, CountStar}
 import org.apache.spark.sql.connector.expressions.filter.Predicate
 import org.apache.spark.sql.connector.metric.{CustomMetric, CustomSumMetric, CustomTaskMetric}
 import org.apache.spark.sql.connector.read._
@@ -40,6 +42,11 @@ import repro.jpeg.Codec
   * `label` are evaluated against the header, so images that fail them are
   * never decoded, and a record none of whose images pass is never
   * prefix-read. Spark re-checks every predicate after the scan.
+  *
+  * `COUNT(*)` and `COUNT(column)` of header columns, grouped by header
+  * columns, are answered by the scan itself ([[PcrCountScan]]): one task
+  * reads every record's header and emits one row per group, so Spark runs
+  * no aggregation of its own.
   */
 class PcrDataSource extends TableProvider with DataSourceRegister {
   override def shortName(): String = "pcr"
@@ -87,9 +94,10 @@ class PcrTable(tablePath: Option[String]) extends Table with SupportsRead {
 }
 
 class PcrScanBuilder(dir: String, scanGroup: Int) extends ScanBuilder
-    with SupportsPushDownRequiredColumns with SupportsPushDownV2Filters {
+    with SupportsPushDownRequiredColumns with SupportsPushDownV2Filters with SupportsPushDownAggregates {
   private var required = PcrTable.schema
   private var pushed = Array.empty[(Predicate, ImageFilter.Keep)]
+  private var counted: Option[(Aggregation, Array[Int])] = None
 
   override def pruneColumns(requiredSchema: StructType): Unit = {
     val names = requiredSchema.fieldNames.toSet
@@ -106,7 +114,119 @@ class PcrScanBuilder(dir: String, scanGroup: Int) extends ScanBuilder
 
   override def pushedPredicates(): Array[Predicate] = pushed.map(_._1)
 
-  override def build(): Scan = new PcrScan(dir, scanGroup, required, pushed)
+  override def supportCompletePushDown(aggregation: Aggregation): Boolean =
+    headerCountGroups(aggregation).isDefined
+
+  override def pushAggregation(aggregation: Aggregation): Boolean = {
+    counted = headerCountGroups(aggregation).map(aggregation -> _)
+    counted.isDefined
+  }
+
+  /** Table ordinals of the group-by columns when `aggregation` is only
+    * non-distinct `COUNT(*)`/`COUNT(column)` of header columns grouped by
+    * header columns, and no predicate was pushed.
+    */
+  private def headerCountGroups(aggregation: Aggregation): Option[Array[Int]] = {
+    def headerColumn(e: Expression): Option[Int] = e match {
+      case ref: NamedReference if ref.fieldNames().length == 1 =>
+        Some(PcrTable.schema.fieldNames.indexOf(ref.fieldNames()(0))).filter(i => i >= 0 && i < PcrTable.FirstPlane)
+      case _ => None
+    }
+    val counts = aggregation.aggregateExpressions().forall {
+      case _: CountStar => true
+      case c: Count => !c.isDistinct && headerColumn(c.column()).isDefined
+      case _ => false
+    }
+    val groups = aggregation.groupByExpressions().map(headerColumn)
+    if (pushed.isEmpty && counts && groups.forall(_.isDefined)) Some(groups.flatten) else None
+  }
+
+  override def build(): Scan = counted match {
+    case Some((aggregation, groups)) => new PcrCountScan(dir, scanGroup, aggregation, groups)
+    case None => new PcrScan(dir, scanGroup, required, pushed)
+  }
+}
+
+/** A pushed `COUNT … GROUP BY` over header columns: one partition holding
+  * every record of `dir`. Its rows are the group-by columns followed by one
+  * `LONG` count per aggregate.
+  */
+class PcrCountScan(
+    dir: String,
+    scanGroup: Int,
+    aggregation: Aggregation,
+    groups: Array[Int]) extends Scan with Batch {
+  private val nCounts = aggregation.aggregateExpressions().length
+
+  override def readSchema(): StructType = StructType(groups.map(PcrTable.schema(_)) ++
+    Array.tabulate(nCounts)(i => StructField(s"count$i", LongType, nullable = false)))
+  override def toBatch: Batch = this
+  override def description(): String =
+    s"PcrScan(dir=$dir, scanGroup=$scanGroup, " +
+      s"aggregation=[${aggregation.aggregateExpressions().mkString(", ")}], " +
+      s"groupBy=[${groups.map(PcrTable.schema(_).name).mkString(", ")}])"
+
+  override def supportedCustomMetrics(): Array[CustomMetric] =
+    Array(new ImagesDecodedMetric, new RecordBytesReadMetric)
+
+  override def planInputPartitions(): Array[InputPartition] =
+    Array(PcrCountPartition(repro.core.PcrEncoder.listRecords(dir).toArray, scanGroup))
+
+  override def createReaderFactory(): PartitionReaderFactory = new PcrCountReaderFactory(groups, nCounts)
+}
+
+case class PcrCountPartition(paths: Array[String], scanGroup: Int) extends InputPartition
+
+class PcrCountReaderFactory(groups: Array[Int], nCounts: Int) extends PartitionReaderFactory {
+  override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
+    val p = partition.asInstanceOf[PcrCountPartition]
+    new PcrCountReader(p.paths, p.scanGroup, groups, nCounts)
+  }
+}
+
+/** Counts the rows of a header-only [[PcrPartitionReader]] over each of
+  * `paths` per value of the `groups` columns, and emits each group's
+  * columns followed by its count `nCounts` times. With no group column it
+  * emits exactly one row, 0 when there is no record. Its metrics are the
+  * sums of the record readers'.
+  */
+class PcrCountReader(
+    paths: Array[String],
+    scanGroup: Int,
+    groups: Array[Int],
+    nCounts: Int) extends PartitionReader[InternalRow] {
+  private val metrics = mutable.LinkedHashMap(ImagesDecodedMetric.Name -> 0L, RecordBytesReadMetric.Name -> 0L)
+  private var rows: Iterator[InternalRow] = _
+  private var current: InternalRow = _
+
+  private def open(): Iterator[InternalRow] = {
+    val counts = mutable.LinkedHashMap.empty[InternalRow, Long]
+    if (groups.isEmpty) counts(InternalRow.empty) = 0L
+    for (path <- paths) {
+      val reader = new PcrPartitionReader(path, scanGroup, groups, None)
+      try {
+        while (reader.next()) {
+          val key = reader.get() // a new row each time, so it can be kept
+          counts(key) = counts.getOrElse(key, 0L) + 1
+        }
+        reader.currentMetricsValues().foreach(m => metrics(m.name()) += m.value())
+      } finally reader.close()
+    }
+    val types = groups.map(PcrTable.schema(_).dataType)
+    counts.iterator.map { case (key, n) => InternalRow.fromSeq(key.toSeq(types) ++ Seq.fill(nCounts)(n)) }
+  }
+
+  override def next(): Boolean = {
+    if (rows == null) rows = open()
+    rows.hasNext && { current = rows.next(); true }
+  }
+
+  override def get(): InternalRow = current
+
+  override def currentMetricsValues(): Array[CustomTaskMetric] =
+    metrics.map { case (name, value) => TaskMetric(name, value): CustomTaskMetric }.toArray
+
+  override def close(): Unit = ()
 }
 
 class PcrScan(

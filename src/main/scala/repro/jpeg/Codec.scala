@@ -268,8 +268,10 @@ object Codec {
     val comps = Array.tabulate(nc)(c => Array.fill(nBlocks(c))(new Array[Int](64)))
     val depth = Array.fill(nc, 64)(-1)
 
-    for ((bytes, spec) <- scans.zip(script)) {
+    for (((bytes, spec), si) <- scans.zip(script).zipWithIndex) {
       val br = new BitReader(bytes)
+      def corrupt(c: Int, b: Int, what: String) = new IllegalArgumentException(
+        s"corrupt scan $si (band [${spec.ss}, ${spec.se}]), component $c, block $b: $what")
       for (c <- spec.components) {
         val blocks = comps(c)
         if (spec.coversDc && !spec.isRefinement) {
@@ -302,11 +304,15 @@ object Codec {
                 val run = rs >>> 4
                 val s   = rs & 15
                 if (run == 0 && s == 0) done = true          // EOB
-                else if (run == 15 && s == 0) k += 16        // ZRL
                 else {
-                  k += run
-                  zz(k) = readSigned(br, s)
-                  k += 1
+                  // A valid ZRL is followed by a coefficient, so it too ends inside the band.
+                  val zrl = run == 15 && s == 0
+                  k += (if (zrl) 16 else run)
+                  if (k > spec.se) throw corrupt(c, b, s"run to position $k")
+                  if (!zrl) {
+                    zz(k) = readSigned(br, s)
+                    k += 1
+                  }
                 }
               }
               b += 1
@@ -325,9 +331,11 @@ object Codec {
                 k += 1
               }
               val nNew = br.readBits(6)
+              if (nNew > spec.se - acStart + 1) throw corrupt(c, b, s"$nNew new coefficients")
               var i = 0
               while (i < nNew) {
                 val pos = br.readBits(6)
+                if (pos < acStart || pos > spec.se) throw corrupt(c, b, s"new coefficient at position $pos")
                 zz(pos) = if (br.readBit() == 1) 1 else -1
                 i += 1
               }

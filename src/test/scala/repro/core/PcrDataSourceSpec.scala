@@ -3,16 +3,21 @@ package repro.core
 import java.nio.file.{Files, Paths, StandardOpenOption}
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.aggregate.HashAggregateExec
 import org.apache.spark.sql.execution.datasources.v2.BatchScanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType}
+import org.apache.spark.unsafe.Platform
 
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.imaging.SyntheticImages
 
 /** The DataSourceV2 `pcr` reader: fidelity option, schema, SQL-level
   * equivalence of the metadata path against DuckDB, and column pruning,
-  * predicate pushdown and scan metrics.
+  * predicate and aggregate pushdown and scan metrics.
   */
 class PcrDataSourceSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
@@ -209,5 +214,135 @@ class PcrDataSourceSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(plan.contains("columns=[id, label]"), plan)
     val pushed = plan.drop(plan.indexOf("pushed=[")).takeWhile(_ != ']')
     assert(pushed.contains("label = 1") && pushed.contains("id < 7"), plan)
+  }
+
+  private def plan(df: DataFrame) = df.queryExecution.executedPlan
+
+  /** One `PcrCountScan` (`scanOf` asserts a single scan), no exchange and no `HashAggregateExec`. */
+  private def pushedCount(df: DataFrame): Boolean = {
+    val p = plan(df)
+    collect(p) { case a: HashAggregateExec => a }.isEmpty &&
+      collect(p) { case e: ShuffleExchangeExec => e }.isEmpty &&
+      scanOf(df).scan.isInstanceOf[datasource.PcrCountScan]
+  }
+
+  test("pushed COUNT of header columns grouped by header columns matches DuckDB") {
+    for (g <- Seq(1, 10)) {
+      val df = read(g).groupBy("label").count()
+      Oracle.assertEquivalent(df, "SELECT label, count(*) AS count FROM meta GROUP BY label", "meta" -> meta)
+      assert(pushedCount(df), plan(df))
+    }
+    val byWidth = read(5).groupBy("label", "width").agg(count("id") as "n")
+    Oracle.assertEquivalent(byWidth,
+      s"SELECT label, ${spec.width} AS width, count(id) AS n FROM meta GROUP BY label", "meta" -> meta)
+    assert(pushedCount(byWidth), plan(byWidth))
+    assert(pushedCount(read(10).agg(count(lit(1)))))
+    assert(read(10).count() == spec.numImages(sf))
+    Oracle.assertEquivalent(read(10).agg(count(lit(1)) as "n", count("bytes_read") as "m"),
+      "SELECT count(*) AS n, count(*) AS m FROM meta", "meta" -> meta)
+  }
+
+  /** Jobs, tasks and shuffle bytes of the Spark jobs `work` runs. */
+  private def jobStats(work: => Unit): (Int, Int, Long) = {
+    val listener = GroupTaskListener.observe(spark, "pcr-count")(work)
+    val (tasks, shuffleBytes) = listener.stats
+    (listener.jobCount, tasks, shuffleBytes)
+  }
+
+  test("a pushed label count and count() run one job with one task and no aggregation") {
+    val df = read(10).groupBy("label").count()
+    assert(pushedCount(df), plan(df))
+    assert(jobStats(df.collect()) == ((1, 1, 0L)))
+    var n = 0L
+    assert(jobStats { n = read(10).count() } == ((1, 1, 0L)))
+    assert(n == spec.numImages(sf))
+  }
+
+  test("an empty directory counts 0 and has no label group; a missing one still throws") {
+    val empty = spark.read.format("pcr").load(Files.createTempDirectory("pcr-empty").toString)
+    assert(empty.count() == 0)
+    assert(empty.groupBy("label").count().collect().isEmpty)
+    assert(empty.groupBy("label", "id").agg(count("width")).collect().isEmpty)
+    val missing = spark.read.format("pcr").load("/nonexistent-dir-xyz")
+    assertThrows[Exception](missing.groupBy("label").count().collect())
+    assertThrows[Exception](missing.count())
+  }
+
+  test("the pushed count decodes no image and reads exactly the record headers") {
+    val df = read(10).groupBy("label").count()
+    val m = scanMetrics(df)
+    assert(m("imagesDecoded") == 0, m)
+    assert(m("recordBytesRead") == manifests.map(r => PcrDecoder.readHeader(r.path).headerLength).sum, m)
+  }
+
+  test("explain shows the pushed aggregation and group-by columns") {
+    val out = new java.io.ByteArrayOutputStream
+    Console.withOut(out)(read(5).groupBy("label").count().explain())
+    assert(out.toString.contains("aggregation=[COUNT(*)], groupBy=[label]"), out.toString)
+    // Spark rewrites COUNT of a non-null column to COUNT(*) before pushing it.
+    val desc = scanOf(read(5).groupBy("width", "label").agg(count("id"))).scan.description()
+    assert(desc.contains("aggregation=[COUNT(*)], groupBy=[width, label]"), desc)
+  }
+
+  test("the scan builder accepts exactly non-distinct counts of header columns without predicates") {
+    import org.apache.spark.sql.connector.expressions.{Expression, Expressions}
+    import org.apache.spark.sql.connector.expressions.aggregate.{AggregateFunc, Aggregation, Count, CountStar, Sum}
+    import org.apache.spark.sql.connector.expressions.filter.Predicate
+    def ref(name: String) = Expressions.column(name)
+    def agg(fs: AggregateFunc*)(groups: Expression*) = new Aggregation(fs.toArray, groups.toArray)
+    def accepts(a: Aggregation, builder: datasource.PcrScanBuilder = new datasource.PcrScanBuilder(dir, 5)) =
+      builder.supportCompletePushDown(a) && builder.pushAggregation(a)
+    val counts = agg(new Count(ref("id"), false), new CountStar)(ref("scan_group"), ref("bytes_read"))
+    assert(accepts(counts))
+    assert(accepts(agg(new Count(ref("height"), false))()))
+    assert(!accepts(agg(new Count(ref("id"), true))()))
+    assert(!accepts(agg(new Count(ref("y"), false))()))
+    assert(!accepts(agg(new CountStar)(ref("cb"))))
+    assert(!accepts(agg(new CountStar, new Sum(ref("id"), false))(ref("label"))))
+    assert(!accepts(agg(new CountStar)(new Predicate("=", Array(ref("label"), ref("id"))))))
+    val filtered = new datasource.PcrScanBuilder(dir, 5)
+    filtered.pushPredicates(Array(new Predicate("=", Array(ref("label"), Expressions.literal(1)))))
+    assert(!accepts(agg(new CountStar)(ref("label")), filtered))
+    assert(filtered.build().isInstanceOf[datasource.PcrScan])
+
+    val builder = new datasource.PcrScanBuilder(dir, 5)
+    assert(builder.pushAggregation(counts))
+    val scan = builder.build()
+    assert(scan.readSchema().map(f => f.name -> f.dataType) ==
+      Seq("scan_group" -> IntegerType, "bytes_read" -> DoubleType, "count0" -> LongType, "count1" -> LongType))
+    assert(scan.description().contains("aggregation=[COUNT(id), COUNT(*)], groupBy=[scan_group, bytes_read]"),
+      scan.description())
+  }
+
+  test("other aggregates, DISTINCT and filtered counts are not pushed and still match DuckDB") {
+    def notPushed(df: DataFrame): DataFrame = {
+      val p = plan(df)
+      assert(collect(p) { case a: HashAggregateExec => a }.nonEmpty, p)
+      assert(scanOf(df).scan.isInstanceOf[datasource.PcrScan], p)
+      df
+    }
+    Oracle.assertEquivalent(notPushed(read(5).agg(round(avg("bytes_read"), 3) as "m")),
+      "SELECT round(avg(CAST(bytes_read AS DOUBLE)), 3) AS m FROM meta",
+      "meta" -> read(5).select("bytes_read"))
+    Oracle.assertEquivalent(notPushed(read(10).agg(countDistinct("label") as "n")),
+      "SELECT count(DISTINCT label) AS n FROM meta", "meta" -> meta)
+    Oracle.assertEquivalent(notPushed(read(10).agg(sum("id") as "s")),
+      "SELECT sum(CAST(id AS BIGINT)) AS s FROM meta", "meta" -> meta)
+    Oracle.assertEquivalent(notPushed(read(10).where(col("label") === 1).groupBy("label").count()),
+      "SELECT label, count(*) AS count FROM meta WHERE CAST(label AS INT) = 1 GROUP BY label", "meta" -> meta)
+  }
+
+  test("the pixel-scan checksum query is not pushed and equals the library decoder's checksum") {
+    val df = read(5).agg(count(lit(1)), bit_xor(xxhash64(col("y"), col("cb"), col("cr"))))
+    assert(collect(plan(df)) { case a: HashAggregateExec => a }.nonEmpty, plan(df))
+    val row = df.head()
+    val images = manifests.flatMap(m => PcrDecoder.readRecord(m.path, 5))
+    val checksum = images.map { d =>
+      Seq(d.image.y, d.image.cb, d.image.cr).foldLeft(42L) { (h, plane) =>
+        val b = plane.map(_.toByte)
+        XXH64.hashUnsafeBytes(b, Platform.BYTE_ARRAY_OFFSET.toLong, b.length, h)
+      }
+    }.reduce(_ ^ _)
+    assert(row.getLong(0) == images.size && row.getLong(1) == checksum)
   }
 }

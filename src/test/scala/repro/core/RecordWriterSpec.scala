@@ -7,6 +7,8 @@ import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerTaskEnd}
+import org.apache.spark.sql.SparkSession
+import org.scalatest.Assertions
 
 import repro.SparkSpec
 import repro.imaging.SyntheticImages
@@ -56,20 +58,8 @@ class RecordWriterSpec extends SparkSpec {
   }
 
   /** Tasks run and shuffle bytes written by the Spark jobs of `work`. */
-  private def taskStats(work: => Unit): (Int, Long) = {
-    val listener = new GroupTaskListener(s"record-writer-${UUID.randomUUID()}")
-    val sc = spark.sparkContext
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup(listener.group, "record writer parallelism")
-      try work finally sc.clearJobGroup()
-      // Task-end events reach the listener before their job's end event.
-      val deadline = System.currentTimeMillis() + 10000
-      while (!listener.settled && System.currentTimeMillis() < deadline) Thread.sleep(10)
-      assert(listener.settled, "listener did not see the writer's jobs end")
-      listener.stats
-    } finally sc.removeSparkListener(listener)
-  }
+  private def taskStats(work: => Unit): (Int, Long) =
+    GroupTaskListener.observe(spark, "record-writer")(work).stats
 
   test("both writers run one task per record and shuffle nothing") {
     val spec = SyntheticImages.cars
@@ -85,7 +75,7 @@ class RecordWriterSpec extends SparkSpec {
   }
 }
 
-/** Counts the tasks and shuffle-write bytes of the jobs of one job group. */
+/** Counts the jobs, tasks and shuffle-write bytes of one job group. */
 final class GroupTaskListener(val group: String) extends SparkListener {
   private val jobs = mutable.Set.empty[Int]
   private val stages = mutable.Set.empty[Int]
@@ -110,5 +100,26 @@ final class GroupTaskListener(val group: String) extends SparkListener {
   }
 
   def settled: Boolean = synchronized(jobs.nonEmpty && jobsEnded == jobs.size)
+  def jobCount: Int = synchronized(jobs.size)
   def stats: (Int, Long) = synchronized((tasks, shuffleBytes))
+}
+
+object GroupTaskListener {
+  /** Runs `work` in a job group of its own and returns the listener once it
+    * has seen every job of that group end.
+    */
+  def observe(spark: SparkSession, purpose: String)(work: => Unit): GroupTaskListener = {
+    val listener = new GroupTaskListener(s"$purpose-${UUID.randomUUID()}")
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(listener.group, purpose)
+      try work finally sc.clearJobGroup()
+      // Task-end events reach the listener before their job's end event.
+      val deadline = System.currentTimeMillis() + 10000
+      while (!listener.settled && System.currentTimeMillis() < deadline) Thread.sleep(10)
+      Assertions.assert(listener.settled, s"listener did not see the $purpose jobs end")
+      listener
+    } finally sc.removeSparkListener(listener)
+  }
 }

@@ -226,4 +226,54 @@ class CodecSpec extends AnyFunSuite with PropSupport {
       }
     }
   }
+
+  // ------------------------------------------------------- hostile streams
+
+  /** One scan's bytes, written as (value, bit count) fields. */
+  private def stream(fields: (Int, Int)*): Array[Byte] = {
+    val bw = new BitWriter()
+    fields.foreach { case (v, n) => bw.writeBits(v, n) }
+    bw.toBytes
+  }
+
+  /** Decodes `fields` as the only scan of a 16×16 image (four luma blocks). */
+  private def decodeLuma(spec: ScanSpec, fields: (Int, Int)*): Array[Array[Int]] =
+    Codec.decodeScans(Seq(stream(fields: _*)), Seq(spec), 16, 16)._1.comps(0)
+
+  private def rejected(spec: ScanSpec, what: String, fields: (Int, Int)*): Unit = {
+    val e = intercept[IllegalArgumentException](decodeLuma(spec, fields: _*))
+    assert(e.getMessage.contains(s"scan 0 (band [${spec.ss}, ${spec.se}]), component 0, block 0: $what"),
+      e.getMessage)
+  }
+
+  private val eob = (0, 8)
+
+  test("a first-pass run that leaves the band is rejected, one that ends on its last slot is not") {
+    val lowAc = ScanSpec(Seq(0), 1, 5, 0, 2)
+    val last = decodeLuma(lowAc, (0x41, 8), (1, 1), eob, eob, eob) // run 4, size 1 → slot 5
+    assert(last(0).toSeq == Seq(0, 0, 0, 0, 0, 1) ++ Seq.fill(58)(0))
+    rejected(lowAc, "run to position 6", (0x51, 8), (1, 1))
+    // Past slot 63 this used to index outside the block.
+    val fullAc = ScanSpec(Seq(0), 1, 63, 0, 1)
+    rejected(fullAc, "run to position 64", (0xf0, 8), (0xf0, 8), (0xf0, 8), (0xf1, 8), (1, 1))
+  }
+
+  test("a ZRL that leaves the band is rejected") {
+    rejected(ScanSpec(Seq(0), 1, 5, 0, 2), "run to position 17", (0xf0, 8))
+  }
+
+  test("a refinement may not place a coefficient outside its band, DC included") {
+    val fullAc = ScanSpec(Seq(0), 1, 63, 1, 0)
+    rejected(fullAc, "new coefficient at position 0", (1, 6), (0, 6), (1, 1))
+    val lowAc = ScanSpec(Seq(0), 1, 5, 1, 0)
+    rejected(lowAc, "new coefficient at position 6", (1, 6), (6, 6), (1, 1))
+    val filled = decodeLuma(lowAc, Seq((5, 6)) ++ (1 to 5).flatMap(k => Seq((k, 6), (k % 2, 1))) ++
+      Seq.fill(3)((0, 6)): _*)
+    assert(filled(0).toSeq.take(7) == Seq(0, 1, -1, 1, -1, 1, 0))
+  }
+
+  test("a refinement announcing more new coefficients than its band holds is rejected") {
+    rejected(ScanSpec(Seq(0), 1, 5, 1, 0), "6 new coefficients", (6, 6))
+    rejected(ScanSpec(Seq(0), 6, 63, 1, 0), "59 new coefficients", (59, 6))
+  }
 }
