@@ -18,10 +18,8 @@ class Fig16BandwidthBench extends SparkSpec {
 
   private def sweep(arch: Features.ModelArch) = {
     val (_, manifests) = BenchData.pcrDataset(spec)
-    val nImages = manifests.map(_.nImages.toLong).sum
-    val meanFull = manifests.map(_.totalBytes).sum.toDouble / nImages
     Fig16Bandwidth.run(manifests, spec.imagesPerRecord,
-      Fig5Throughput.PaperNodes * arch.imagesPerSecPerNode, meanFull)
+      Fig5Throughput.PaperNodes * arch.imagesPerSecPerNode)
   }
 
   private lazy val resnet = sweep(Features.resnetLite)

@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.ScanSizes
+import repro.experiments.Table1Sizes
 import repro.imaging.SyntheticImages
 
 /** Table 1 — image size reduction per scan group and mean image size.
@@ -18,15 +19,7 @@ class Table1SizesBench extends SparkSpec {
     SyntheticImages.all.map(spec => ScanSizes.measure(spark, spec, BenchData.sf))
 
   test("Table 1: measure and report per-scan size reductions") {
-    val rows = stats.map { s =>
-      f"| ${s.dataset}%-9s | ${s.reductionFactor(1)}%5.1fx | ${s.reductionFactor(2)}%5.1fx " +
-        f"| ${s.reductionFactor(5)}%5.1fx | ${s.reductionFactor(10)}%5.1fx " +
-        f"| ${s.meanFullBytes / 1000.0}%7.2f kB |"
-    }
-    BenchData.report("Table 1 (sizes, SF=" + BenchData.sf + ")")(
-      ("| Dataset   | Scan 1 | Scan 2 | Scan 5 | Scan 10 | E[s(x)]    |" +:
-        "|-----------|--------|--------|--------|---------|------------|" +:
-        rows).mkString("\n"))
+    BenchData.report("Table 1 (sizes, SF=" + BenchData.sf + ")")(Table1Sizes.render(stats))
   }
 
   test("reduction factors decrease monotonically with the scan group") {

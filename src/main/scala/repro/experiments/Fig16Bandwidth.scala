@@ -19,8 +19,8 @@ object Fig16Bandwidth {
   def run(
       manifests: Seq[RecordManifest],
       imagesPerRecord: Int,
-      clusterComputeRate: Double,
-      ourMeanImageBytes: Double): Seq[SweepRow] = {
+      clusterComputeRate: Double): Seq[SweepRow] = {
+    val ourMeanImageBytes = Fig5Throughput.meanImageBytes(manifests)
     val scale = ourMeanImageBytes / Fig5Throughput.PaperMeanImageBytes
     for {
       bwMiB <- PaperBandwidthsMiB

@@ -25,6 +25,10 @@ object Fig5Throughput {
   val PaperAggregateBandwidth: Double = 400.0 * 1024 * 1024 // §6.1: "400+ MiB/s"
   val PaperMeanImageBytes: Double = 110e3                   // Table 1, ImageNet
 
+  /** Mean full-fidelity image size of an encoded dataset: record bytes over images. */
+  def meanImageBytes(manifests: Seq[RecordManifest]): Double =
+    manifests.map(_.totalBytes).sum.toDouble / manifests.map(_.nImages.toLong).sum
+
   /** Aggregate bandwidth preserving the paper's bytes-per-image balance. */
   def scaledBandwidth(ourMeanImageBytes: Double): Double =
     PaperAggregateBandwidth * ourMeanImageBytes / PaperMeanImageBytes
@@ -36,8 +40,7 @@ object Fig5Throughput {
       computePerNode: Double,
       nNodes: Int = PaperNodes): Seq[RateRow] = {
     val nImages = manifests.map(_.nImages.toLong).sum
-    val meanFull = manifests.map(_.totalBytes).sum.toDouble / nImages
-    val w = scaledBandwidth(meanFull)
+    val w = scaledBandwidth(meanImageBytes(manifests))
     val disk = DiskModel(w, DiskModel.hdd.seekLatencySec)
     val clusterCompute = nNodes * computePerNode
     val ipr = spec.imagesPerRecord

@@ -21,9 +21,8 @@ object Sec7Ssd {
       tfrBytes: Seq[Long],
       imagesPerRecord: Int,
       resourceScale: Double = 1.0): Seq[SsdRow] = {
-    val nImages = manifests.map(_.nImages.toLong).sum
-    val meanFull = manifests.map(_.totalBytes).sum.toDouble / nImages
-    val w = PaperSsdBandwidth * meanFull / Fig5Throughput.PaperMeanImageBytes * resourceScale
+    val w = PaperSsdBandwidth * Fig5Throughput.meanImageBytes(manifests) /
+      Fig5Throughput.PaperMeanImageBytes * resourceScale
     val disk = DiskModel(w, DiskModel.ssd.seekLatencySec)
     val compute = PaperComputeRate * resourceScale
     val scanRows = Seq(1, 2, 5, 10).map { g =>

@@ -1,9 +1,7 @@
 package repro.experiments
 
-import org.apache.spark.sql.SparkSession
-
-import repro.core.PcrEncoder
-import repro.imaging.{DatasetSpec, SyntheticImages}
+import repro.core.RecordManifest
+import repro.imaging.DatasetSpec
 
 /** Table 3: per-dataset PCR directory statistics — records, images, total
   * size, native JPEG quality, classes.
@@ -18,18 +16,8 @@ final case class DatasetStats(
 
 object Table3Datasets {
 
-  def measure(spark: SparkSession, spec: DatasetSpec, sf: Double, outDir: String): DatasetStats = {
-    val manifests = PcrEncoder.encodeDataset(spark, spec, sf, outDir)
-    DatasetStats(spec.name, manifests.size, manifests.map(_.nImages.toLong).sum,
-      manifests.map(_.totalBytes).sum, spec.quality, spec.numClasses)
-  }
-
-  def measureAll(spark: SparkSession, sf: Double, baseDir: String): Seq[DatasetStats] =
-    SyntheticImages.all.map(spec =>
-      measure(spark, spec, sf, s"$baseDir/${spec.name}"))
-
   /** Build the stats from an already-encoded dataset's manifests. */
-  def fromManifests(spec: DatasetSpec, manifests: Seq[repro.core.RecordManifest]): DatasetStats =
+  def fromManifests(spec: DatasetSpec, manifests: Seq[RecordManifest]): DatasetStats =
     DatasetStats(spec.name, manifests.size, manifests.map(_.nImages.toLong).sum,
       manifests.map(_.totalBytes).sum, spec.quality, spec.numClasses)
 

@@ -41,7 +41,7 @@ object TrainGrid {
       g: Int,
       arch: Features.ModelArch,
       nImages: Long): Double = {
-    val w = Fig5Throughput.scaledBandwidth(meanBytes(manifests, 10))
+    val w = Fig5Throughput.scaledBandwidth(Fig5Throughput.meanImageBytes(manifests))
     val rate = QueueModel.clusterRate(Fig5Throughput.PaperNodes,
       arch.imagesPerSecPerNode, w, meanBytes(manifests, g))
     QueueModel.epochSeconds(nImages, rate)
