@@ -16,7 +16,8 @@ import repro.imaging.SyntheticImages
 class Table1SizesBench extends SparkSpec {
 
   private lazy val stats =
-    SyntheticImages.all.map(spec => ScanSizes.measure(spark, spec, BenchData.sf))
+    SyntheticImages.all.map(spec => ScanSizes.fromRecords(spec.name,
+      BenchData.pcrDataset(spec)._2, BenchData.tfrDataset(spec)._2))
 
   test("Table 1: measure and report per-scan size reductions") {
     BenchData.report("Table 1 (sizes, SF=" + BenchData.sf + ")")(Table1Sizes.render(stats))

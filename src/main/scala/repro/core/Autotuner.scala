@@ -37,6 +37,25 @@ object Autotuner {
     epoch == cfg.warmupEpochs ||
       (epoch > cfg.warmupEpochs && (epoch - cfg.warmupEpochs) % cfg.tunePeriod == 0)
 
+  /** score(D, D') of §4.3 for each of `scans`: the cosine between the
+    * frozen-parameter gradients on `byScan(reference)` and on that scan's
+    * data. The reference scan scores 1 without a second gradient.
+    */
+  def similarities(
+      byScan: Map[Int, Dataset[LabeledVec]],
+      scans: Seq[Int],
+      reference: Int,
+      params: SoftmaxParams): Map[Int, Double] = {
+    val (gRef, _, _) = Trainer.gradient(byScan(reference), params)
+    scans.map { g =>
+      if (g == reference) g -> 1.0
+      else {
+        val (gCand, _, _) = Trainer.gradient(byScan(g), params)
+        g -> GradientSimilarity.cosine(gRef, gCand)
+      }
+    }.toMap
+  }
+
   /** One epoch of an autotuned run, as observed by the harness. */
   final case class TuneStat(
       epoch: Int,
@@ -61,7 +80,6 @@ object Autotuner {
       cfg: AutotuneConfig,
       epochSeconds: Int => Double): (SoftmaxParams, Vector[TuneStat]) = {
     require(cfg.candidateScans.forall(byScan.contains), "missing candidate scan data")
-    val reference = byScan(cfg.referenceScan)
     var p = params0
     var scan = cfg.referenceScan
     val stats = Vector.newBuilder[TuneStat]
@@ -69,14 +87,7 @@ object Autotuner {
     while (e < epochs) {
       var sims = Map.empty[Int, Double]
       if (shouldTune(e, cfg)) {
-        val (gRef, _, _) = Trainer.gradient(reference, p)
-        sims = cfg.candidateScans.map { g =>
-          if (g == cfg.referenceScan) g -> 1.0
-          else {
-            val (gCand, _, _) = Trainer.gradient(byScan(g), p)
-            g -> GradientSimilarity.cosine(gRef, gCand)
-          }
-        }.toMap
+        sims = similarities(byScan, cfg.candidateScans, cfg.referenceScan, p)
         scan = chooseScan(sims.toSeq, cfg.threshold)
       }
       val (g, loss, _) = Trainer.gradient(byScan(scan), p)

@@ -69,6 +69,10 @@ object BaselineFormats {
     }((path, _, bytes) => (path, bytes.length.toLong))
   }
 
+  /** Sequential JPEG payload bytes of each image of a TFRecord-like file. */
+  def payloadBytes(path: String): Seq[Long] =
+    parseRecord(Files.readAllBytes(Paths.get(path)))._4.map(_._3.length.toLong)
+
   /** Decode every image of a TFRecord-like file. */
   def readTfRecordLike(path: String): Seq[(Long, Int, PlanarImage)] = {
     val bytes = Files.readAllBytes(Paths.get(path))
@@ -98,13 +102,13 @@ object BaselineFormats {
           val img = SyntheticImages.generate(spec, id, seed)
           val payload = Codec.encodeSequential(img, spec.quality)
           val path = Paths.get(outDir, f"img-$id%08d.jpg")
-          Files.write(path, payload)
+          RecordWriter.writeAtomically(path, payload)
           (path.toString, payload.length.toLong)
         }
       }
       .collect().toSeq.sortBy(_._1)
     val labels = (0L until n).map(id => s"$id,${SyntheticImages.label(spec, id)}")
-    Files.write(Paths.get(outDir, "labels.csv"), labels.mkString("\n").getBytes)
+    RecordWriter.writeAtomically(Paths.get(outDir, "labels.csv"), labels.mkString("\n").getBytes)
     files
   }
 }

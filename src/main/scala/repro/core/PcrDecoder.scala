@@ -3,7 +3,7 @@ package repro.core
 import java.io.RandomAccessFile
 
 import repro.imaging.PlanarImage
-import repro.jpeg.{Codec, ScanScript, ScanSpec}
+import repro.jpeg.Codec
 
 /** One image decoded from a PCR record at some fidelity. `bytesRead` is the
   * record-prefix length amortized over the record's images — the quantity
@@ -78,15 +78,12 @@ object PcrDecoder {
   /** Read + decode every image of a record at fidelity `scanGroup` (capped
     * to the record's group count).
     */
-  def readRecord(
-      path: String,
-      scanGroup: Int,
-      script: Seq[ScanSpec] = ScanScript.progressive10): Seq[DecodedImage] = {
+  def readRecord(path: String, scanGroup: Int): Seq[DecodedImage] = {
     val (header, entries) = readRecordRaw(path, scanGroup)
     val g = math.min(scanGroup, header.nScanGroups)
     val perImageBytes = header.prefixLength(g).toDouble / header.nImages
     entries.map { e =>
-      val img = Codec.decodeProgressive(e.scans, header.quality, header.width, header.height, script)
+      val img = Codec.decodeProgressive(e.scans, header.quality, header.width, header.height)
       DecodedImage(e.id, e.label, g, perImageBytes, img)
     }
   }

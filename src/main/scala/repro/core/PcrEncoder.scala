@@ -5,7 +5,7 @@ import java.nio.file.{Files, Paths}
 import org.apache.spark.sql.SparkSession
 
 import repro.imaging.{DatasetSpec, SyntheticImages}
-import repro.jpeg.{Codec, ScanScript, ScanSpec}
+import repro.jpeg.Codec
 
 /** Where one encoded record landed and how large each fidelity prefix is. */
 final case class RecordManifest(
@@ -15,6 +15,13 @@ final case class RecordManifest(
     totalBytes: Long,
     groupEndOffsets: Seq[Long]) {
   def prefixBytes(scanGroup: Int): Long = groupEndOffsets(scanGroup)
+
+  /** Entropy-coded bytes of scan groups 1..g summed over the record's images:
+    * the prefix past the header, less each group's length table of one
+    * 4-byte length per image (the [[PcrRecord]] layout).
+    */
+  def scanBytes(scanGroup: Int): Long =
+    prefixBytes(scanGroup) - prefixBytes(0) - 4L * nImages * scanGroup
 }
 
 /** The PCR encoder (§5 "Encoding") as a Spark job.
@@ -34,14 +41,12 @@ object PcrEncoder {
       spec: DatasetSpec,
       sf: Double,
       outDir: String,
-      seed: Long = 0L,
-      script: Seq[ScanSpec] = ScanScript.progressive10): Seq[RecordManifest] = {
+      seed: Long = 0L): Seq[RecordManifest] = {
     import spark.implicits._
-    val scriptV = script.toVector
     RecordWriter.writeRecords(spark, spec.numImages(sf), spec.imagesPerRecord, outDir, "pcr") { ids =>
       PcrRecord.serialize(spec.width, spec.height, spec.quality, ids.map { id =>
         val img = SyntheticImages.generate(spec, id, seed)
-        PcrImageEntry(id, SyntheticImages.label(spec, id), Codec.encodeProgressive(img, spec.quality, scriptV))
+        PcrImageEntry(id, SyntheticImages.label(spec, id), Codec.encodeProgressive(img, spec.quality))
       })
     } { (path, rec, bytes) =>
       val header = PcrRecord.parseHeader(bytes)

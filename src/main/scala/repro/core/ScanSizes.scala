@@ -1,10 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
-
-import repro.imaging.{DatasetSpec, SyntheticImages}
-import repro.jpeg.{Codec, ScanScript, ScanSpec}
-
 /** Per-scan size statistics of an encoded dataset — the measurements behind
   * the paper's Table 1 (size-reduction factors), Figure 8 (cumulative scan
   * sizes) and every bandwidth prediction derived from them.
@@ -19,8 +14,6 @@ final case class ScanSizeStats(
     /** mean sequential (baseline JPEG) bytes per image. */
     meanBaselineBytes: Double) {
 
-  def nScanGroups: Int = meanCumulativeBytes.length
-
   /** Mean image size at full fidelity, E[s(x)] of Table 1. */
   def meanFullBytes: Double = meanCumulativeBytes.last
 
@@ -31,39 +24,22 @@ final case class ScanSizeStats(
 
 object ScanSizes {
 
-  /** Encode every image of `spec` at `sf` on executors and aggregate
-    * per-scan cumulative sizes (no record files are written; this measures
-    * the representation itself).
+  /** Per-scan sizes of `dataset` as stored: the progressive scan bytes come
+    * from the offset index of its PCR records (`manifests`), the baseline
+    * bytes from the sequential JPEG payloads of its TFRecord-like files
+    * (`tfrFiles`, as (path, bytes) pairs). Both must hold the same images.
     */
-  def measure(
-      spark: SparkSession,
-      spec: DatasetSpec,
-      sf: Double,
-      seed: Long = 0L,
-      script: Seq[ScanSpec] = ScanScript.progressive10): ScanSizeStats = {
-    import spark.implicits._
-    val n = spec.numImages(sf)
-    val nScans = script.length
-    val scriptV = script.toVector
-    val (sumCum, sumBase, count) = spark.range(n).as[Long]
-      .mapPartitions { ids =>
-        ids.map { id =>
-          val img = SyntheticImages.generate(spec, id, seed)
-          val scans = Codec.encodeProgressive(img, spec.quality, scriptV)
-          val cum = scans.scanLeft(0L)(_ + _.length).drop(1).toArray
-          val base = Codec.encodeSequential(img, spec.quality).length.toLong
-          (cum, base, 1L)
-        }
-      }
-      .reduce { (a, b) =>
-        val cum = a._1.clone()
-        var i = 0
-        while (i < cum.length) { cum(i) += b._1(i); i += 1 }
-        (cum, a._2 + b._2, a._3 + b._3)
-      }
-    require(count == n, s"expected $n images, aggregated $count")
-    ScanSizeStats(spec.name, count,
-      sumCum.map(_.toDouble / count).toVector.ensuring(_.length == nScans),
-      sumBase.toDouble / count)
+  def fromRecords(
+      dataset: String,
+      manifests: Seq[RecordManifest],
+      tfrFiles: Seq[(String, Long)]): ScanSizeStats = {
+    require(manifests.nonEmpty, s"$dataset: no PCR records")
+    val n = manifests.map(_.nImages.toLong).sum
+    val nScanGroups = manifests.head.groupEndOffsets.length - 1
+    val baseline = tfrFiles.flatMap { case (path, _) => BaselineFormats.payloadBytes(path) }
+    require(baseline.length == n, s"$dataset: ${baseline.length} TFRecord images, $n PCR images")
+    ScanSizeStats(dataset, n,
+      (1 to nScanGroups).map(g => manifests.map(_.scanBytes(g)).sum.toDouble / n).toVector,
+      baseline.sum.toDouble / n)
   }
 }

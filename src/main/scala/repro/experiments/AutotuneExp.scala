@@ -40,24 +40,15 @@ object AutotuneExp {
       lr: Double = 2.0): Seq[SimilarityPoint] = {
     val byScan = loadByScan(spark, pcrDir, arch, scans)
     try {
-      val reference = byScan(scans.max)
-      val train = reference.filter((v: LabeledVec) => !Trainer.isTest(v.id)).cache()
+      val trainByScan = byScan.map { case (g, ds) => g -> ds.filter((v: LabeledVec) => !Trainer.isTest(v.id)) }
+      val train = trainByScan(scans.max).cache()
       val dim = Features.dim(arch, spec.width, spec.height)
       var p = SoftmaxModel.init(spec.numClasses, dim)
       val out = Seq.newBuilder[SimilarityPoint]
       for (e <- 0 until epochs) {
         if (e % measureEvery == 0) {
-          val (gRef, _, _) = Trainer.gradient(train, p)
-          for (g <- scans) {
-            val sim =
-              if (g == scans.max) 1.0
-              else {
-                val cand = byScan(g).filter((v: LabeledVec) => !Trainer.isTest(v.id))
-                val (gC, _, _) = Trainer.gradient(cand, p)
-                GradientSimilarity.cosine(gRef, gC)
-              }
-            out += SimilarityPoint(e, g, sim)
-          }
+          val sims = Autotuner.similarities(trainByScan, scans, scans.max, p)
+          out ++= scans.map(g => SimilarityPoint(e, g, sims(g)))
         }
         val (grad, _, _) = Trainer.gradient(train, p)
         p = SoftmaxModel.step(p, grad, lr, 1e-4)

@@ -14,15 +14,15 @@ final case class ReaderRate(
 
 object Fig24Reader {
 
-  def run(pcrDir: String, reps: Int = 5, trials: Int = 5): Seq[ReaderRate] = {
+  def run(pcrDir: String, reps: Int = 5): Seq[ReaderRate] = {
     val records = PcrEncoder.listRecords(pcrDir)
     require(records.nonEmpty, s"no records under $pcrDir")
     // Warm the page cache and JIT so rates reflect reader overhead.
     Seq(1, 5, 10).foreach(g => records.foreach(PcrDecoder.readRecordRaw(_, g)))
     Seq(1, 2, 5, 10).map { g =>
-      // Best-of-`trials`: the min time filters GC pauses out of a
+      // Best of 5 trials: the min time filters GC pauses out of a
       // microbenchmark whose unit of work is tens of microseconds.
-      val results = (0 until trials).map { _ =>
+      val results = (0 until 5).map { _ =>
         var images = 0L
         var bytes = 0L
         val t0 = System.nanoTime()

@@ -64,10 +64,7 @@ object Fig5Throughput {
       predicted(tfrFiles.map(_._2)))
 
     // File-per-Image: every image is an individual seek-bound read.
-    val perImage = tfrFiles.flatMap { case (p, _) =>
-      BaselineFormats.parseRecord(java.nio.file.Files.readAllBytes(
-        java.nio.file.Paths.get(p)))._4.map(_._3.length.toLong)
-    }
+    val perImage = tfrFiles.flatMap { case (p, _) => BaselineFormats.payloadBytes(p) }
     val fpiSim = LoaderSim.simulateFilePerImage(perImage, clusterCompute, disk)
     val fpiRow = RateRow("File-per-Image", tfrMean, fpiSim.imagesPerSec, fpiSim.imagesPerSec)
 

@@ -20,17 +20,17 @@ final case class DecodeRates(
 object Table2Decode {
   val ReportedScans: Seq[Int] = Seq(1, 2, 5, 10)
 
-  /** Best-of-`trials` wall time: the minimum over repeated runs filters
-    * out GC pauses and JIT warmup jitter.
+  /** Best-of-5 wall time: the minimum over repeated runs filters out GC
+    * pauses and JIT warmup jitter.
     */
-  private def timeSec(trials: Int)(work: => Unit): Double =
-    (0 until trials).map { _ =>
+  private def timeSec(work: => Unit): Double =
+    (0 until 5).map { _ =>
       val t0 = System.nanoTime()
       work
       (System.nanoTime() - t0) / 1e9
     }.min
 
-  def measure(spec: DatasetSpec, nImages: Int, seed: Long = 0L, trials: Int = 5): DecodeRates = {
+  def measure(spec: DatasetSpec, nImages: Int, seed: Long = 0L): DecodeRates = {
     val images = (0 until nImages).map(i => SyntheticImages.generate(spec, i.toLong, seed))
     val progressive = images.map(Codec.encodeProgressive(_, spec.quality))
     val sequential = images.map(Codec.encodeSequential(_, spec.quality))
@@ -49,8 +49,8 @@ object Table2Decode {
       decodeBaseline()
     }
 
-    val rates = ReportedScans.map(g => g -> nImages / timeSec(trials)(decodeAll(g))).toMap
-    val base = nImages / timeSec(trials)(decodeBaseline())
+    val rates = ReportedScans.map(g => g -> nImages / timeSec(decodeAll(g))).toMap
+    val base = nImages / timeSec(decodeBaseline())
     DecodeRates(spec.name, nImages, rates, base)
   }
 

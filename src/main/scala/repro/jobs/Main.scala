@@ -35,7 +35,10 @@ object Main {
   val experiments: ListMap[String, Experiment] = ListMap(
     // Table 1: per-scan size-reduction factors and mean image size. Args: [sf]
     "Table1Sizes" -> { (spark, args) =>
-      Table1Sizes.render(SyntheticImages.all.map(ScanSizes.measure(spark(), _, sf(args))))
+      val base = tempDir("pcr-table1")
+      Table1Sizes.render(SyntheticImages.all.map(spec => ScanSizes.fromRecords(spec.name,
+        PcrEncoder.encodeDataset(spark(), spec, sf(args), s"$base/pcr-${spec.name}"),
+        BaselineFormats.writeTfRecordLike(spark(), spec, sf(args), s"$base/tfr-${spec.name}"))))
     },
     // Table 2: single-core decode rates per scan vs. baseline. Args: [imagesPerDataset]
     "Table2Decode" -> { (_, args) =>

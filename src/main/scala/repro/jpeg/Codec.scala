@@ -352,25 +352,15 @@ object Codec {
 
   // ---------------------------------------------------------- public facade
 
-  /** Progressive encode: one byte stream per scan of `script`. */
-  def encodeProgressive(
-      img: PlanarImage,
-      quality: Int,
-      script: Seq[ScanSpec] = ScanScript.progressive10): Vector[Array[Byte]] =
-    encodeScript(toCoefficients(img, quality), script)
+  /** Progressive encode: one byte stream per scan of the 10-scan script. */
+  def encodeProgressive(img: PlanarImage, quality: Int): Vector[Array[Byte]] =
+    encodeScript(toCoefficients(img, quality), ScanScript.progressive10)
 
   /** Decode the first `scans.length` scans — the PCR "read up to scan group
     * g" path. Fewer scans → lower-fidelity reconstruction of all blocks.
     */
-  def decodeProgressive(
-      scans: Seq[Array[Byte]],
-      quality: Int,
-      width: Int,
-      height: Int,
-      script: Seq[ScanSpec] = ScanScript.progressive10): PlanarImage = {
-    val (ci, depth) = decodeScans(scans, script, width, height)
-    fromCoefficients(ci, quality, depth)
-  }
+  def decodeProgressive(scans: Seq[Array[Byte]], quality: Int, width: Int, height: Int): PlanarImage =
+    decode(scans, ScanScript.progressive10, quality, width, height)
 
   /** Baseline sequential encode: a single framed byte payload. */
   def encodeSequential(img: PlanarImage, quality: Int): Array[Byte] = {
@@ -379,9 +369,17 @@ object Codec {
   }
 
   /** Decode a baseline sequential payload produced by [[encodeSequential]]. */
-  def decodeSequential(bytes: Array[Byte], quality: Int, width: Int, height: Int): PlanarImage = {
-    val scans = unframe(bytes)
-    decodeProgressive(scans, quality, width, height, ScanScript.sequential(3))
+  def decodeSequential(bytes: Array[Byte], quality: Int, width: Int, height: Int): PlanarImage =
+    decode(unframe(bytes), ScanScript.sequential(3), quality, width, height)
+
+  private def decode(
+      scans: Seq[Array[Byte]],
+      script: Seq[ScanSpec],
+      quality: Int,
+      width: Int,
+      height: Int): PlanarImage = {
+    val (ci, depth) = decodeScans(scans, script, width, height)
+    fromCoefficients(ci, quality, depth)
   }
 
   /** Pack per-scan streams into one payload: [n][len_i][bytes_i]…. */

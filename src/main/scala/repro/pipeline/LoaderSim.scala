@@ -37,8 +37,7 @@ object LoaderSim {
       disk: DiskModel,
       limiter: Option[TokenBucket] = None,
       prefetchDepth: Int = 2,
-      epochs: Int = 1,
-      seeksPerRecord: Int = 1): SimResult = {
+      epochs: Int = 1): SimResult = {
     require(recordBytes.nonEmpty, "no records to simulate")
     require(prefetchDepth >= 1, "prefetch depth must be >= 1")
     val perRecordCompute = imagesPerRecord / computeImagesPerSec
@@ -59,7 +58,7 @@ object LoaderSim {
       val backpressure = if (r >= prefetchDepth) computeDone(r - prefetchDepth) else 0.0
       val start = math.max(loaderFree, backpressure)
       val afterTokens = limiter.map(_.acquire(bytes, start)).getOrElse(start)
-      loadDone(r) = afterTokens + disk.readSeconds(bytes, seeksPerRecord)
+      loadDone(r) = afterTokens + disk.readSeconds(bytes)
       loaderFree = loadDone(r)
 
       val computeStart = math.max(computeFree, loadDone(r))
@@ -76,24 +75,12 @@ object LoaderSim {
     SimResult(totalSec, total.toLong * imagesPerRecord / totalSec, perEpoch, stall)
   }
 
-  /** File-per-Image epoch simulation: every image is its own random read
-    * (one seek each) — the layout the paper finds ~25× slower (§6.2).
+  /** File-per-Image epoch simulation: every image is its own one-seek record,
+    * prefetched without limit — the layout the paper finds ~25× slower (§6.2).
     */
   def simulateFilePerImage(
       imageBytes: Seq[Long],
       computeImagesPerSec: Double,
-      disk: DiskModel): SimResult = {
-    require(imageBytes.nonEmpty, "no images to simulate")
-    var t = 0.0
-    var computeFree = 0.0
-    var stall = 0.0
-    for (b <- imageBytes) {
-      t += disk.readSeconds(b.toDouble, nSeeks = 1)
-      val start = math.max(computeFree, t)
-      stall += math.max(0.0, t - computeFree)
-      computeFree = start + 1.0 / computeImagesPerSec
-    }
-    val total = computeFree
-    SimResult(total, imageBytes.length / total, Vector(total), stall)
-  }
+      disk: DiskModel): SimResult =
+    simulate(imageBytes, 1, computeImagesPerSec, disk, prefetchDepth = math.max(1, imageBytes.length))
 }

@@ -1,7 +1,5 @@
 package repro.train
 
-import org.apache.spark.sql.Dataset
-
 /** Gradient-direction similarity across data fidelities (§4.3).
   *
   * The model is frozen at its current parameters; the full-dataset loss
@@ -17,17 +15,5 @@ object GradientSimilarity {
     while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
     val denom = math.sqrt(na) * math.sqrt(nb)
     if (denom == 0) 0.0 else dot / denom
-  }
-
-  /** score(D, D') of §4.3: cosine between the frozen-parameter gradients
-    * on reference data and on candidate data.
-    */
-  def score(
-      reference: Dataset[LabeledVec],
-      candidate: Dataset[LabeledVec],
-      params: SoftmaxParams): Double = {
-    val (gRef, _, _) = Trainer.gradient(reference, params)
-    val (gCand, _, _) = Trainer.gradient(candidate, params)
-    cosine(gRef, gCand)
   }
 }

@@ -4,7 +4,7 @@ import java.nio.file.Files
 
 import repro.SparkSpec
 import repro.imaging.SyntheticImages
-import repro.train.{Features, SoftmaxModel, Trainer}
+import repro.train.{Features, GradientSimilarity, SoftmaxModel, Trainer}
 
 class AutotunerSpec extends SparkSpec {
 
@@ -37,6 +37,26 @@ class AutotunerSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](AutotuneConfig(threshold = 0.0))
     assertThrows[IllegalArgumentException](AutotuneConfig(candidateScans = Seq.empty))
     assert(AutotuneConfig().referenceScan == 10)
+  }
+
+  test("similarities: the reference scores 1, other scans the cosine of frozen gradients") {
+    val dir = Files.createTempDirectory("pcr-sims").toString
+    val spec = SyntheticImages.celebahq
+    PcrEncoder.encodeDataset(spark, spec, 0.02, dir) // one record: one partition, one summation order
+    val scans = Seq(1, 5, 10)
+    val byScan = scans.map(g =>
+      g -> Trainer.featuresAt(spark, dir, g, Features.resnetLite).cache()).toMap
+    val p0 = SoftmaxModel.init(2, Features.dim(Features.resnetLite, spec.width, spec.height))
+    val p = SoftmaxModel.step(p0, Trainer.gradient(byScan(10), p0)._1, 1.0, 1e-4)
+    val sims = Autotuner.similarities(byScan, scans, 10, p)
+    assert(sims.keySet == scans.toSet)
+    assert(sims(10) == 1.0)
+    val (gRef, _, _) = Trainer.gradient(byScan(10), p)
+    for (g <- Seq(1, 5)) {
+      val (gCand, _, _) = Trainer.gradient(byScan(g), p)
+      assert(sims(g) == GradientSimilarity.cosine(gRef, gCand), s"scan $g")
+    }
+    byScan.values.foreach(_.unpersist())
   }
 
   test("autotuned training starts at the reference scan and switches down") {

@@ -1,10 +1,13 @@
 package repro.pipeline
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.PropSupport
 import repro.storage.{DiskModel, TokenBucket}
 
-class LoaderSimSpec extends AnyFunSuite {
+class LoaderSimSpec extends AnyFunSuite with PropSupport {
 
   private val disk = DiskModel(100e6, 0.0) // pure-bandwidth device for exactness
 
@@ -55,6 +58,42 @@ class LoaderSimSpec extends AnyFunSuite {
       Seq.fill(2)(110_000L * 1000), 1000, 1e9, hdd)
     val slowdown = record.imagesPerSec / fpi.imagesPerSec
     assert(slowdown > 10, s"slowdown only $slowdown")
+  }
+
+  /** The dedicated File-per-Image loop `simulateFilePerImage` once ran:
+    * images read back to back, each with one seek, never waiting for compute.
+    */
+  private def filePerImageReference(
+      imageBytes: Seq[Long],
+      computeImagesPerSec: Double,
+      disk: DiskModel): SimResult = {
+    var t = 0.0
+    var computeFree = 0.0
+    var stall = 0.0
+    for (b <- imageBytes) {
+      t += disk.readSeconds(b.toDouble, nSeeks = 1)
+      val start = math.max(computeFree, t)
+      stall += math.max(0.0, t - computeFree)
+      computeFree = start + 1.0 / computeImagesPerSec
+    }
+    val total = computeFree
+    SimResult(total, imageBytes.length / total, Vector(total), stall)
+  }
+
+  test("File-per-Image runs the record simulator bit-identically to the per-image loop") {
+    val gen = for {
+      sizes <- Gen.choose(1, 300).flatMap(Gen.listOfN(_, Gen.choose(0L, 5_000_000L)))
+      rate <- Gen.choose(1.0, 1e6)
+      bandwidth <- Gen.choose(1e5, 1e10)
+      seek <- Gen.oneOf(Gen.const(0.0), Gen.choose(0.0, 0.05))
+    } yield (sizes.toVector, rate, DiskModel(bandwidth, seek))
+    checkProp(Prop.forAll(gen) { case (sizes, rate, d) =>
+      val fpi = LoaderSim.simulateFilePerImage(sizes, rate, d)
+      val ref = filePerImageReference(sizes, rate, d)
+      (fpi.totalSeconds == ref.totalSeconds && fpi.imagesPerSec == ref.imagesPerSec &&
+        fpi.epochSeconds == ref.epochSeconds && fpi.stallSeconds == ref.stallSeconds) :|
+        s"$fpi != $ref"
+    })
   }
 
   test("prefetching hides IO behind compute when rates are balanced") {
