@@ -4,6 +4,7 @@ import java.nio.file.Files
 
 import scala.collection.concurrent.TrieMap
 
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.SparkSession
 
 import repro.SparkSpec
@@ -20,7 +21,12 @@ import repro.imaging.DatasetSpec
 object BenchData {
   val sf: Double = sys.env.getOrElse("BENCH_SF", "0.1").toDouble
 
-  lazy val baseDir: String = Files.createTempDirectory("pcr-bench").toString
+  /** Deleted when the JVM exits. */
+  lazy val baseDir: String = {
+    val dir = Files.createTempDirectory("pcr-bench")
+    sys.addShutdownHook(FileUtils.deleteDirectory(dir.toFile))
+    dir.toString
+  }
 
   private val pcr = TrieMap.empty[String, (String, Seq[RecordManifest])]
   private val tfr = TrieMap.empty[String, (String, Seq[(String, Long)])]

@@ -16,6 +16,21 @@ final case class DecodedImage(
     bytesRead: Double,
     image: PlanarImage)
 
+/** One [[PcrDecoder.read]] of a record: the indices of the selected images,
+  * their decoded images (parallel to `selected`, empty when not decoded)
+  * and the bytes fetched from the file.
+  */
+final case class RecordRead(
+    header: PcrHeader,
+    scanGroup: Int,
+    selected: Array[Int],
+    images: Array[PlanarImage],
+    bytesFetched: Long) {
+
+  /** The record-prefix length at `scanGroup` amortized over its images. */
+  def bytesPerImage: Double = header.prefixLength(scanGroup).toDouble / header.nImages
+}
+
 /** The PCR decoder (§5 "Decoding"): read the record-file byte prefix up to
   * the requested scan group's end offset, regroup per-image scans, and hand
   * each truncated stream to the JPEG decoder (the EOI-termination trick —
@@ -66,7 +81,16 @@ object PcrDecoder {
       path: String,
       scanGroup: Int): (PcrHeader, Seq[PcrImageEntry]) = {
     val (header, hdr) = openRecord(raf, path)
-    val g = math.min(scanGroup, header.nScanGroups)
+    readPrefix(raf, path, header, hdr, math.min(scanGroup, header.nScanGroups))
+  }
+
+  /** Read and parse the prefix for scan group `g` after `openRecord`'s `hdr`. */
+  private def readPrefix(
+      raf: RandomAccessFile,
+      path: String,
+      header: PcrHeader,
+      hdr: Array[Byte],
+      g: Int): (PcrHeader, Seq[PcrImageEntry]) = {
     val prefixLen = header.prefixLength(g)
     require(prefixLen >= hdr.length && prefixLen <= raf.length(),
       s"$path: prefix of $prefixLen bytes at scan group $g is outside [${hdr.length}, ${raf.length()}]")
@@ -75,16 +99,35 @@ object PcrDecoder {
     PcrRecord.parsePrefix(bytes, g)
   }
 
+  /** The one read of a record: open `path` once, read its header and
+    * select the images whose `(id, label)` pass `keep` (all without it).
+    * Only when `decode` is set and some image is selected does it read the
+    * rest of the prefix for `scanGroup` (capped to the record's group
+    * count) through the same file and decode the selected images.
+    */
+  def read(
+      path: String,
+      scanGroup: Int,
+      decode: Boolean = true,
+      keep: Option[(Long, Int) => Boolean] = None): RecordRead = withFile(path) { raf =>
+    val (header, hdr) = openRecord(raf, path)
+    val g = math.min(scanGroup, header.nScanGroups)
+    val selected = header.ids.indices.filter(k => keep.forall(_(header.ids(k), header.labels(k)))).toArray
+    if (!decode || selected.isEmpty) RecordRead(header, g, selected, Array.empty, hdr.length)
+    else {
+      val (_, entries) = readPrefix(raf, path, header, hdr, g)
+      val images = selected.map(k =>
+        Codec.decodeProgressive(entries(k).scans, header.quality, header.width, header.height))
+      RecordRead(header, g, selected, images, header.prefixLength(g))
+    }
+  }
+
   /** Read + decode every image of a record at fidelity `scanGroup` (capped
     * to the record's group count).
     */
   def readRecord(path: String, scanGroup: Int): Seq[DecodedImage] = {
-    val (header, entries) = readRecordRaw(path, scanGroup)
-    val g = math.min(scanGroup, header.nScanGroups)
-    val perImageBytes = header.prefixLength(g).toDouble / header.nImages
-    entries.map { e =>
-      val img = Codec.decodeProgressive(e.scans, header.quality, header.width, header.height)
-      DecodedImage(e.id, e.label, g, perImageBytes, img)
-    }
+    val r = read(path, scanGroup)
+    r.images.indices.map(k =>
+      DecodedImage(r.header.ids(k), r.header.labels(k), r.scanGroup, r.bytesPerImage, r.images(k)))
   }
 }

@@ -51,6 +51,9 @@ final case class PcrHeader(
 object PcrRecord {
   val Magic: Int = 0x50435231 // "PCR1"
 
+  /** Largest `width · height` a header may claim; the largest dataset is 128×128. */
+  val MaxPixels: Long = 1L << 22
+
   /** magic, nImages, nScanGroups, width, height, quality: 4 bytes each. */
   val FixedHeaderLength: Int = 24
 
@@ -99,10 +102,17 @@ object PcrRecord {
     require(bb.getInt() == Magic, "not a PCR record (bad magic)")
     val n = bb.getInt(); val ng = bb.getInt()
     val w = bb.getInt(); val h = bb.getInt(); val q = bb.getInt()
-    require(bytes.length >= headerLength(n, ng), "truncated PCR header")
+    val headerLen = headerLength(n, ng)
+    require(bytes.length >= headerLen, "truncated PCR header")
+    require(w > 0 && h > 0 && w % 16 == 0 && h % 16 == 0 && w.toLong * h <= MaxPixels,
+      s"corrupt PCR header: image size ${w}x$h")
+    require(q >= 1 && q <= 100, s"corrupt PCR header: quality $q")
     val ids = Array.fill(n)(bb.getLong())
     val labels = Array.fill(n)(bb.getInt())
     val offsets = Array.fill(ng + 1)(bb.getLong())
+    require(offsets(0) == headerLen, s"corrupt PCR header: group 0 ends at ${offsets(0)}, not $headerLen")
+    for (g <- 0 until ng) require(offsets(g + 1) - offsets(g) >= 4L * n,
+      s"corrupt PCR header: scan group ${g + 1} spans ${offsets(g + 1) - offsets(g)} bytes for $n images")
     PcrHeader(n, ng, w, h, q, ids, labels, offsets)
   }
 
@@ -121,6 +131,9 @@ object PcrRecord {
       val bb = ByteBuffer.wrap(bytes)
       bb.position(header.groupEndOffsets(g).toInt)
       val lens = Array.fill(n)(bb.getInt())
+      val size = header.groupEndOffsets(g + 1) - header.groupEndOffsets(g) - 4L * n
+      require(lens.forall(_ >= 0) && lens.map(_.toLong).sum == size,
+        s"corrupt PCR record: scan group ${g + 1} lengths do not sum to its $size scan bytes")
       var i = 0
       while (i < n) {
         val a = new Array[Byte](lens(i))

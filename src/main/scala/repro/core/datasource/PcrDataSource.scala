@@ -18,13 +18,13 @@ import org.apache.spark.sql.sources.DataSourceRegister
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
-import repro.core.{PcrDecoder, PcrHeader}
-import repro.imaging.PlanarImage
-import repro.jpeg.Codec
+import repro.core.{PcrDecoder, RecordRead}
 
 /** DataSourceV2 reader for PCR directories — the Spark embodiment of the
-  * paper's loader (§5): each partition reads one record file's byte
-  * *prefix* at the requested fidelity and decodes it inside the executor.
+  * paper's loader (§5): a partition is a list of record files, and its
+  * reader reads each record's byte *prefix* at the requested fidelity in
+  * turn through [[PcrDecoder.read]], which opens the file once and decodes
+  * inside the executor. [[PcrScan]] plans one record per partition.
   *
   * {{{
   * spark.read.format("pcr")
@@ -170,63 +170,46 @@ class PcrCountScan(
     Array(new ImagesDecodedMetric, new RecordBytesReadMetric)
 
   override def planInputPartitions(): Array[InputPartition] =
-    Array(PcrCountPartition(repro.core.PcrEncoder.listRecords(dir).toArray, scanGroup))
+    Array(PcrInputPartition(repro.core.PcrEncoder.listRecords(dir), scanGroup))
 
   override def createReaderFactory(): PartitionReaderFactory = new PcrCountReaderFactory(groups, nCounts)
 }
 
-case class PcrCountPartition(paths: Array[String], scanGroup: Int) extends InputPartition
-
+/** Wraps the header-only reader of the `groups` columns in a [[PcrCountReader]]. */
 class PcrCountReaderFactory(groups: Array[Int], nCounts: Int) extends PartitionReaderFactory {
-  override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
-    val p = partition.asInstanceOf[PcrCountPartition]
-    new PcrCountReader(p.paths, p.scanGroup, groups, nCounts)
-  }
+  override def createReader(partition: InputPartition): PartitionReader[InternalRow] =
+    new PcrCountReader(new PcrReaderFactory(groups).createReader(partition), groups, nCounts)
 }
 
-/** Counts the rows of a header-only [[PcrPartitionReader]] over each of
-  * `paths` per value of the `groups` columns, and emits each group's
-  * columns followed by its count `nCounts` times. With no group column it
-  * emits exactly one row, 0 when there is no record. Its metrics are the
-  * sums of the record readers'.
+/** Counts the rows of `rows`, which hold the `groups` columns, per group
+  * value, and emits each group's columns followed by its count `nCounts`
+  * times. With no group column it emits exactly one row, 0 when there is
+  * no record. Its metrics are those of `rows`.
   */
 class PcrCountReader(
-    paths: Array[String],
-    scanGroup: Int,
+    rows: PartitionReader[InternalRow],
     groups: Array[Int],
     nCounts: Int) extends PartitionReader[InternalRow] {
-  private val metrics = mutable.LinkedHashMap(ImagesDecodedMetric.Name -> 0L, RecordBytesReadMetric.Name -> 0L)
-  private var rows: Iterator[InternalRow] = _
   private var current: InternalRow = _
 
-  private def open(): Iterator[InternalRow] = {
+  private lazy val counted: Iterator[InternalRow] = {
     val counts = mutable.LinkedHashMap.empty[InternalRow, Long]
     if (groups.isEmpty) counts(InternalRow.empty) = 0L
-    for (path <- paths) {
-      val reader = new PcrPartitionReader(path, scanGroup, groups, None)
-      try {
-        while (reader.next()) {
-          val key = reader.get() // a new row each time, so it can be kept
-          counts(key) = counts.getOrElse(key, 0L) + 1
-        }
-        reader.currentMetricsValues().foreach(m => metrics(m.name()) += m.value())
-      } finally reader.close()
+    while (rows.next()) {
+      val key = rows.get() // a new row each time, so it can be kept
+      counts(key) = counts.getOrElse(key, 0L) + 1
     }
     val types = groups.map(PcrTable.schema(_).dataType)
     counts.iterator.map { case (key, n) => InternalRow.fromSeq(key.toSeq(types) ++ Seq.fill(nCounts)(n)) }
   }
 
-  override def next(): Boolean = {
-    if (rows == null) rows = open()
-    rows.hasNext && { current = rows.next(); true }
-  }
+  override def next(): Boolean = counted.hasNext && { current = counted.next(); true }
 
   override def get(): InternalRow = current
 
-  override def currentMetricsValues(): Array[CustomTaskMetric] =
-    metrics.map { case (name, value) => TaskMetric(name, value): CustomTaskMetric }.toArray
+  override def currentMetricsValues(): Array[CustomTaskMetric] = rows.currentMetricsValues()
 
-  override def close(): Unit = ()
+  override def close(): Unit = rows.close()
 }
 
 class PcrScan(
@@ -253,7 +236,12 @@ class PcrScan(
     pushed.map(_._2).reduceOption(ImageFilter.and))
 }
 
-case class PcrInputPartition(path: String, scanGroup: Int) extends InputPartition
+/** The record files one task reads, in order. */
+case class PcrInputPartition(paths: Seq[String], scanGroup: Int) extends InputPartition
+
+object PcrInputPartition {
+  def apply(path: String, scanGroup: Int): PcrInputPartition = PcrInputPartition(Seq(path), scanGroup)
+}
 
 /** `columns` are table ordinals in output order; `keep` is the conjunction
   * of the pushed predicates, if any.
@@ -263,46 +251,31 @@ class PcrReaderFactory(
     keep: Option[ImageFilter.Keep] = None) extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
     val p = partition.asInstanceOf[PcrInputPartition]
-    new PcrPartitionReader(p.path, p.scanGroup, columns, keep)
+    new PcrPartitionReader(p.paths, p.scanGroup, columns, keep)
   }
 }
 
-/** Reads one record file and emits one row per image that passes `keep`,
-  * holding only `columns`. Without a pixel column it reads the header
-  * alone. Otherwise it reads the prefix for `scanGroup` and decodes every
-  * kept image on the first `next()`; with a filter it reads the header
-  * first, and reads no prefix when no image passes.
+/** Reads `paths` in turn, one record at a time, through [[PcrDecoder.read]]
+  * and emits one row per image that passes `keep`, holding only `columns`.
+  * Without a pixel column each record's header alone is read; otherwise
+  * the kept images of a record are decoded when its first row is asked
+  * for. Its metrics are summed over the records read.
   */
 class PcrPartitionReader(
-    path: String,
+    paths: Seq[String],
     scanGroup: Int,
     columns: Array[Int],
     keep: Option[ImageFilter.Keep]) extends PartitionReader[InternalRow] {
   private val decodes = columns.exists(_ >= PcrTable.FirstPlane)
-  private var header: PcrHeader = _
-  private var g = 0
-  private var bytesRead = 0.0
-  private var kept: Array[Int] = _            // record indices of the rows
-  private var images: Array[PlanarImage] = _  // decoded images, parallel to `kept`
-  private var row = -1
   private var current: InternalRow = _
+  private var imagesDecoded = 0L
   private var fetched = 0L
 
-  private def open(): Unit = {
-    if (!decodes || keep.isDefined) {
-      header = PcrDecoder.readHeader(path)
-      fetched += header.headerLength
-      kept = header.ids.indices.filter(k => keep.forall(_(header.ids(k), header.labels(k)))).toArray
-    }
-    if (decodes && (kept == null || kept.nonEmpty)) {
-      val (h, entries) = PcrDecoder.readRecordRaw(path, scanGroup)
-      header = h
-      if (kept == null) kept = Array.range(0, h.nImages)
-      fetched += h.prefixLength(math.min(scanGroup, h.nScanGroups))
-      images = kept.map(k => Codec.decodeProgressive(entries(k).scans, h.quality, h.width, h.height))
-    }
-    g = math.min(scanGroup, header.nScanGroups)
-    bytesRead = header.prefixLength(g).toDouble / header.nImages
+  private val rows: Iterator[InternalRow] = paths.iterator.flatMap { path =>
+    val record = PcrDecoder.read(path, scanGroup, decodes, keep)
+    imagesDecoded += record.images.length
+    fetched += record.bytesFetched
+    record.selected.indices.iterator.map(rowOf(record, _))
   }
 
   private def planeBytes(p: Array[Int]): Array[Byte] = {
@@ -312,37 +285,33 @@ class PcrPartitionReader(
     out
   }
 
-  override def next(): Boolean = {
-    if (kept == null) open()
-    row += 1
-    if (row >= kept.length) false
-    else {
-      val k = kept(row)
-      val values = new Array[Any](columns.length)
-      var c = 0
-      while (c < columns.length) {
-        values(c) = (columns(c): @switch) match {
-          case 0 => header.ids(k)
-          case 1 => header.labels(k)
-          case 2 => header.width
-          case 3 => header.height
-          case 4 => g
-          case 5 => bytesRead
-          case 6 => planeBytes(images(row).y)
-          case 7 => planeBytes(images(row).cb)
-          case 8 => planeBytes(images(row).cr)
-        }
-        c += 1
+  private def rowOf(record: RecordRead, row: Int): InternalRow = {
+    val k = record.selected(row)
+    val values = new Array[Any](columns.length)
+    var c = 0
+    while (c < columns.length) {
+      values(c) = (columns(c): @switch) match {
+        case 0 => record.header.ids(k)
+        case 1 => record.header.labels(k)
+        case 2 => record.header.width
+        case 3 => record.header.height
+        case 4 => record.scanGroup
+        case 5 => record.bytesPerImage
+        case 6 => planeBytes(record.images(row).y)
+        case 7 => planeBytes(record.images(row).cb)
+        case 8 => planeBytes(record.images(row).cr)
       }
-      current = new GenericInternalRow(values)
-      true
+      c += 1
     }
+    new GenericInternalRow(values)
   }
+
+  override def next(): Boolean = rows.hasNext && { current = rows.next(); true }
 
   override def get(): InternalRow = current
 
   override def currentMetricsValues(): Array[CustomTaskMetric] = Array(
-    TaskMetric(ImagesDecodedMetric.Name, if (images == null) 0L else images.length.toLong),
+    TaskMetric(ImagesDecodedMetric.Name, imagesDecoded),
     TaskMetric(RecordBytesReadMetric.Name, fetched))
 
   override def close(): Unit = ()

@@ -1,9 +1,12 @@
 package repro.jobs
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
 
 import scala.collection.immutable.ListMap
+import scala.collection.mutable
+import scala.util.DynamicVariable
 
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.SparkSession
 
 import repro.core.{BaselineFormats, PcrEncoder, ScanSizes}
@@ -25,7 +28,14 @@ object Main {
 
   private def sf(args: Seq[String]): Double = args.headOption.map(_.toDouble).getOrElse(0.1)
 
-  private def tempDir(prefix: String): String = Files.createTempDirectory(prefix).toString
+  /** Temp dirs made by the experiment [[run]] is running; it deletes them when it returns. */
+  private val tempDirs = new DynamicVariable(mutable.Buffer.empty[Path])
+
+  private def tempDir(prefix: String): String = {
+    val dir = Files.createTempDirectory(prefix)
+    tempDirs.value += dir
+    dir.toString
+  }
 
   /** Images per dataset for the single-process experiments; 128×128 datasets get half. */
   private def perDataset(spec: DatasetSpec, n: Int): Int = if (spec.width >= 128) n / 2 else n
@@ -133,12 +143,15 @@ object Main {
   )
 
   /** Run experiment `name` and return its output. The session `spark`
-    * supplies is left running.
+    * supplies is left running, and the temp dirs the experiment made are
+    * deleted; an output dir given in `args` is kept.
     */
   def run(spark: () => SparkSession, name: String, args: Seq[String]): String = {
     val experiment = experiments.getOrElse(name, throw new IllegalArgumentException(
       s"unknown experiment '$name'; expected one of ${experiments.keys.mkString(", ")}"))
-    experiment(spark, args)
+    val made = mutable.Buffer.empty[Path]
+    try tempDirs.withValue(made)(experiment(spark, args))
+    finally made.foreach(dir => FileUtils.deleteDirectory(dir.toFile))
   }
 
   def main(args: Array[String]): Unit = {

@@ -3,6 +3,7 @@ package repro.core
 import java.nio.file.{Files, Paths, StandardOpenOption}
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.aggregate.HashAggregateExec
@@ -176,7 +177,46 @@ class PcrDataSourceSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val otherHeaders = manifests.filter(_ != first).map(_.groupEndOffsets.head).sum
     val m = scanMetrics(read(5).select("y").where(col("id") < first.nImages))
     assert(m("imagesDecoded") == first.nImages)
-    assert(m("recordBytesRead") == first.groupEndOffsets.head + first.prefixBytes(5) + otherHeaders)
+    assert(m("recordBytesRead") == first.prefixBytes(5) + otherHeaders)
+  }
+
+  /** Reads one partition of `paths` at scan group 5 through `factory`:
+    * its rows and its final metrics.
+    */
+  private def readPartition(
+      paths: Seq[String],
+      factory: datasource.PcrReaderFactory = new datasource.PcrReaderFactory()): (Seq[InternalRow], Map[String, Long]) = {
+    val reader = factory.createReader(datasource.PcrInputPartition(paths, 5))
+    try {
+      val rows = Iterator.continually(reader.next()).takeWhile(identity).map(_ => reader.get()).toVector
+      (rows, reader.currentMetricsValues().map(m => m.name() -> m.value()).toMap)
+    } finally reader.close()
+  }
+
+  private def records = manifests.sortBy(_.recordIndex)
+
+  test("one partition of every record yields readRecord's images in path order") {
+    val (rows, m) = readPartition(records.map(_.path))
+    val direct = records.flatMap(r => PcrDecoder.readRecord(r.path, 5))
+    assert(rows.map(r => (r.getLong(0), r.getInt(1), r.getInt(4), r.getDouble(5))) ==
+      direct.map(d => (d.id, d.label, d.scanGroup, d.bytesRead)))
+    for ((r, d) <- rows.zip(direct); (plane, ordinal) <- Seq(d.image.y, d.image.cb, d.image.cr).zip(6 to 8))
+      assert(r.getBinary(ordinal).map(_ & 0xff).sameElements(plane), s"image ${d.id} column $ordinal")
+    assert(m == Map("imagesDecoded" -> direct.size.toLong, "recordBytesRead" -> records.map(_.prefixBytes(5)).sum))
+  }
+
+  test("a partition record none of whose images pass costs exactly its header") {
+    val Seq(first, second) = records
+    val ids = PcrDecoder.readHeader(second.path).ids.toSet
+    val (rows, m) = readPartition(records.map(_.path),
+      new datasource.PcrReaderFactory(keep = Some((id: Long, _: Int) => ids(id))))
+    assert(rows.map(_.getLong(0)) == ids.toSeq.sorted)
+    assert(m == Map("imagesDecoded" -> second.nImages.toLong,
+      "recordBytesRead" -> (first.groupEndOffsets.head + second.prefixBytes(5))))
+  }
+
+  test("an empty partition yields no row and zero metrics") {
+    assert(readPartition(Seq.empty) == ((Seq.empty, Map("imagesDecoded" -> 0L, "recordBytesRead" -> 0L))))
   }
 
   test("metadata queries read only the header: a record cut after its header answers them") {

@@ -2,6 +2,9 @@ package repro.jobs
 
 import java.nio.file.{Files, Paths}
 
+import scala.jdk.CollectionConverters._
+import scala.util.Using
+
 import repro.SparkSpec
 import repro.core.{PcrDecoder, PcrEncoder, RecordManifest}
 import repro.experiments.Table3Datasets
@@ -45,6 +48,15 @@ class MainSpec extends SparkSpec {
     Main.run(() => spark, "Table3Datasets", Seq("0.01", Files.createTempDirectory("main-active").toString))
     assert(!spark.sparkContext.isStopped)
     assert(spark.range(3).count() == 3)
+  }
+
+  test("run deletes the temp dirs its experiment made") {
+    val tmp = Paths.get(System.getProperty("java.io.tmpdir"))
+    def fig24Dirs = Using.resource(Files.list(tmp))(
+      _.iterator.asScala.map(_.getFileName.toString).filter(_.startsWith("pcr-fig24")).toSet)
+    val before = fig24Dirs
+    Main.run(() => spark, "Fig24Reader", Seq("0.02"))
+    assert(fig24Dirs.diff(before).isEmpty)
   }
 
   test("MssimReport runs without a Spark session") {
