@@ -1,13 +1,10 @@
 package repro.bench
 
-import java.nio.file.Files
-
 import scala.collection.concurrent.TrieMap
 
-import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.SparkSession
 
-import repro.SparkSpec
+import repro.{SparkSpec, TempDirs}
 import repro.core.{BaselineFormats, PcrEncoder, RecordManifest}
 import repro.imaging.DatasetSpec
 
@@ -22,11 +19,7 @@ object BenchData {
   val sf: Double = sys.env.getOrElse("BENCH_SF", "0.1").toDouble
 
   /** Deleted when the JVM exits. */
-  lazy val baseDir: String = {
-    val dir = Files.createTempDirectory("pcr-bench")
-    sys.addShutdownHook(FileUtils.deleteDirectory(dir.toFile))
-    dir.toString
-  }
+  lazy val baseDir: String = TempDirs.create("pcr-bench").toString
 
   private val pcr = TrieMap.empty[String, (String, Seq[RecordManifest])]
   private val tfr = TrieMap.empty[String, (String, Seq[(String, Long)])]

@@ -81,7 +81,7 @@ object PcrDecoder {
       path: String,
       scanGroup: Int): (PcrHeader, Seq[PcrImageEntry]) = {
     val (header, hdr) = openRecord(raf, path)
-    readPrefix(raf, path, header, hdr, math.min(scanGroup, header.nScanGroups))
+    (header, readPrefix(raf, path, header, hdr, math.min(scanGroup, header.nScanGroups)))
   }
 
   /** Read and parse the prefix for scan group `g` after `openRecord`'s `hdr`. */
@@ -90,13 +90,13 @@ object PcrDecoder {
       path: String,
       header: PcrHeader,
       hdr: Array[Byte],
-      g: Int): (PcrHeader, Seq[PcrImageEntry]) = {
+      g: Int): Seq[PcrImageEntry] = {
     val prefixLen = header.prefixLength(g)
     require(prefixLen >= hdr.length && prefixLen <= raf.length(),
       s"$path: prefix of $prefixLen bytes at scan group $g is outside [${hdr.length}, ${raf.length()}]")
     val bytes = java.util.Arrays.copyOf(hdr, prefixLen.toInt)
     raf.readFully(bytes, hdr.length, bytes.length - hdr.length)
-    PcrRecord.parsePrefix(bytes, g)
+    PcrRecord.parsePrefix(header, bytes, g)
   }
 
   /** The one read of a record: open `path` once, read its header and
@@ -115,7 +115,7 @@ object PcrDecoder {
     val selected = header.ids.indices.filter(k => keep.forall(_(header.ids(k), header.labels(k)))).toArray
     if (!decode || selected.isEmpty) RecordRead(header, g, selected, Array.empty, hdr.length)
     else {
-      val (_, entries) = readPrefix(raf, path, header, hdr, g)
+      val entries = readPrefix(raf, path, header, hdr, g)
       val images = selected.map(k =>
         Codec.decodeProgressive(entries(k).scans, header.quality, header.width, header.height))
       RecordRead(header, g, selected, images, header.prefixLength(g))

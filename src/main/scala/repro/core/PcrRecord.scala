@@ -121,6 +121,11 @@ object PcrRecord {
     */
   def parsePrefix(bytes: Array[Byte], scanGroup: Int): (PcrHeader, Seq[PcrImageEntry]) = {
     val header = parseHeader(bytes)
+    (header, parsePrefix(header, bytes, scanGroup))
+  }
+
+  /** [[parsePrefix]] given `header`, the [[parseHeader]] of `bytes`. */
+  def parsePrefix(header: PcrHeader, bytes: Array[Byte], scanGroup: Int): Seq[PcrImageEntry] = {
     require(scanGroup >= 1 && scanGroup <= header.nScanGroups,
       s"scan group $scanGroup out of [1, ${header.nScanGroups}]")
     require(bytes.length >= header.prefixLength(scanGroup),
@@ -142,8 +147,6 @@ object PcrRecord {
         i += 1
       }
     }
-    val entries = (0 until n).map(i =>
-      PcrImageEntry(header.ids(i), header.labels(i), perImage(i).result()))
-    (header, entries)
+    (0 until n).map(i => PcrImageEntry(header.ids(i), header.labels(i), perImage(i).result()))
   }
 }

@@ -1,11 +1,13 @@
 package repro.core.datasource
 
+import java.nio.file.{Files, Paths}
 import java.util
 
 import scala.annotation.switch
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
@@ -14,17 +16,21 @@ import org.apache.spark.sql.connector.expressions.aggregate.{Aggregation, Count,
 import org.apache.spark.sql.connector.expressions.filter.Predicate
 import org.apache.spark.sql.connector.metric.{CustomMetric, CustomSumMetric, CustomTaskMetric}
 import org.apache.spark.sql.connector.read._
+import org.apache.spark.sql.execution.datasources.FilePartition
+import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.sources.DataSourceRegister
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
-import repro.core.{PcrDecoder, RecordRead}
+import repro.core.{PcrDecoder, PcrEncoder, RecordRead}
 
 /** DataSourceV2 reader for PCR directories — the Spark embodiment of the
   * paper's loader (§5): a partition is a list of record files, and its
   * reader reads each record's byte *prefix* at the requested fidelity in
   * turn through [[PcrDecoder.read]], which opens the file once and decodes
-  * inside the executor. [[PcrScan]] plans one record per partition.
+  * inside the executor. [[PcrScan]] packs runs of consecutive records into
+  * partitions the way Spark's file sources split files, so a scan runs
+  * about one task per core.
   *
   * {{{
   * spark.read.format("pcr")
@@ -170,7 +176,7 @@ class PcrCountScan(
     Array(new ImagesDecodedMetric, new RecordBytesReadMetric)
 
   override def planInputPartitions(): Array[InputPartition] =
-    Array(PcrInputPartition(repro.core.PcrEncoder.listRecords(dir), scanGroup))
+    Array(PcrInputPartition(PcrEncoder.listRecords(dir), scanGroup))
 
   override def createReaderFactory(): PartitionReaderFactory = new PcrCountReaderFactory(groups, nCounts)
 }
@@ -226,10 +232,29 @@ class PcrScan(
   override def supportedCustomMetrics(): Array[CustomMetric] =
     Array(new ImagesDecodedMetric, new RecordBytesReadMetric)
 
-  override def planInputPartitions(): Array[InputPartition] =
-    repro.core.PcrEncoder.listRecords(dir)
-      .map(p => PcrInputPartition(p, scanGroup): InputPartition)
-      .toArray
+  /** Spark's file-source split planning (`FilePartition`): each record
+    * weighs its file length plus `spark.sql.files.openCostInBytes`, and
+    * the records, in `listRecords` order, fill one partition until the next
+    * would take it past `FilePartition.maxSplitBytes` of their total
+    * weight. Unlike Spark it does not sort by size, so rows keep record
+    * order.
+    */
+  override def planInputPartitions(): Array[InputPartition] = {
+    val paths = PcrEncoder.listRecords(dir)
+    val lengths = paths.map(p => Files.size(Paths.get(p)))
+    val open = SQLConf.get.filesOpenCostInBytes
+    val maxSplit = FilePartition.maxSplitBytes(SparkSession.active, lengths.map(_ + open).sum)
+    val runs = mutable.ArrayBuffer.empty[Seq[String]]
+    val run = mutable.ArrayBuffer.empty[String]
+    var current = 0L
+    for ((path, length) <- paths.zip(lengths)) {
+      if (run.nonEmpty && current + length > maxSplit) { runs += run.toSeq; run.clear(); current = 0L }
+      run += path
+      current += length + open
+    }
+    if (run.nonEmpty) runs += run.toSeq
+    runs.map(PcrInputPartition(_, scanGroup): InputPartition).toArray
+  }
 
   override def createReaderFactory(): PartitionReaderFactory = new PcrReaderFactory(
     columns.fieldNames.map(PcrTable.schema.fieldIndex),

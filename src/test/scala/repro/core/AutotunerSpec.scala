@@ -1,8 +1,6 @@
 package repro.core
 
-import java.nio.file.Files
-
-import repro.SparkSpec
+import repro.{SparkSpec, TempDirs}
 import repro.imaging.SyntheticImages
 import repro.train.{Features, GradientSimilarity, SoftmaxModel, Trainer}
 
@@ -40,7 +38,7 @@ class AutotunerSpec extends SparkSpec {
   }
 
   test("similarities: the reference scores 1, other scans the cosine of frozen gradients") {
-    val dir = Files.createTempDirectory("pcr-sims").toString
+    val dir = TempDirs.create("pcr-sims").toString
     val spec = SyntheticImages.celebahq
     PcrEncoder.encodeDataset(spark, spec, 0.02, dir) // one record: one partition, one summation order
     val scans = Seq(1, 5, 10)
@@ -60,7 +58,7 @@ class AutotunerSpec extends SparkSpec {
   }
 
   test("autotuned training starts at the reference scan and switches down") {
-    val dir = Files.createTempDirectory("pcr-tune").toString
+    val dir = TempDirs.create("pcr-tune").toString
     val spec = SyntheticImages.celebahq
     PcrEncoder.encodeDataset(spark, spec, 0.04, dir)
     val scans = Seq(1, 2, 5, 10)

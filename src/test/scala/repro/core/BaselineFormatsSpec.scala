@@ -2,7 +2,7 @@ package repro.core
 
 import java.nio.file.{Files, Paths}
 
-import repro.SparkSpec
+import repro.{SparkSpec, TempDirs}
 import repro.imaging.SyntheticImages
 import repro.jpeg.Codec
 
@@ -12,7 +12,7 @@ class BaselineFormatsSpec extends SparkSpec {
   private val sf = 0.1 // 80 images → 2 records of 64/16
 
   test("TFRecord-like files round-trip ids, labels and pixels") {
-    val dir = Files.createTempDirectory("tfr-test").toString
+    val dir = TempDirs.create("tfr-test").toString
     val files = BaselineFormats.writeTfRecordLike(spark, spec, sf, dir)
     assert(files.size == 2)
     val images = files.flatMap { case (p, _) => BaselineFormats.readTfRecordLike(p) }
@@ -30,7 +30,7 @@ class BaselineFormatsSpec extends SparkSpec {
   }
 
   test("File-per-Image writes one file per image plus labels") {
-    val dir = Files.createTempDirectory("fpi-test").toString
+    val dir = TempDirs.create("fpi-test").toString
     val files = BaselineFormats.writeFilePerImage(spark, spec, 0.05, dir)
     assert(files.size == spec.numImages(0.05))
     assert(Files.exists(Paths.get(dir, "labels.csv")))
@@ -45,8 +45,8 @@ class BaselineFormatsSpec extends SparkSpec {
   }
 
   test("a quality override re-encodes at lower fidelity and smaller size") {
-    val dirHi = Files.createTempDirectory("tfr-hi").toString
-    val dirLo = Files.createTempDirectory("tfr-lo").toString
+    val dirHi = TempDirs.create("tfr-hi").toString
+    val dirLo = TempDirs.create("tfr-lo").toString
     val hi = BaselineFormats.writeTfRecordLike(spark, spec, 0.05, dirHi).map(_._2).sum
     val lo = BaselineFormats.writeTfRecordLike(spark, spec, 0.05, dirLo,
       qualityOverride = Some(50)).map(_._2).sum
@@ -54,8 +54,8 @@ class BaselineFormatsSpec extends SparkSpec {
   }
 
   test("TFRecord total size is close to full-fidelity PCR size (paper §3)") {
-    val dirT = Files.createTempDirectory("tfr-cmp").toString
-    val dirP = Files.createTempDirectory("pcr-cmp").toString
+    val dirT = TempDirs.create("tfr-cmp").toString
+    val dirP = TempDirs.create("pcr-cmp").toString
     val tfr = BaselineFormats.writeTfRecordLike(spark, spec, 0.05, dirT).map(_._2).sum
     val pcr = PcrEncoder.encodeDataset(spark, spec, 0.05, dirP).map(_.totalBytes).sum
     val ratio = pcr.toDouble / tfr

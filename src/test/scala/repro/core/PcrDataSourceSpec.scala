@@ -13,7 +13,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType}
 import org.apache.spark.unsafe.Platform
 
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec, SynthData, TempDirs}
 import repro.imaging.SyntheticImages
 
 /** The DataSourceV2 `pcr` reader: fidelity option, schema, SQL-level
@@ -22,7 +22,7 @@ import repro.imaging.SyntheticImages
   */
 class PcrDataSourceSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
-  private lazy val dir = Files.createTempDirectory("pcr-dsv2").toString
+  private lazy val dir = TempDirs.create("pcr-dsv2").toString
   private val spec = SyntheticImages.celebahq
   private val sf = 0.05 // 120 images → 2 records of 96/24
   private lazy val manifests = PcrEncoder.encodeDataset(spark, spec, sf, dir)
@@ -219,10 +219,76 @@ class PcrDataSourceSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(readPartition(Seq.empty) == ((Seq.empty, Map("imagesDecoded" -> 0L, "recordBytesRead" -> 0L))))
   }
 
+  private val packedSpec = spec.copy(imagesPerRecord = 10) // 120 images → 12 records of 10
+  private lazy val packedDir = TempDirs.create("pcr-packed").toString
+  private lazy val packedRecords = PcrEncoder.encodeDataset(spark, packedSpec, sf, packedDir).sortBy(_.recordIndex)
+
+  /** The record paths of each partition the `pcr` scan of `dir` plans. */
+  private def planned(dir: String): Seq[Seq[String]] =
+    new datasource.PcrScanBuilder(dir, 5).build().toBatch.planInputPartitions().toSeq
+      .map(_.asInstanceOf[datasource.PcrInputPartition].paths)
+
+  /** Runs `body` with the SQL confs `kvs` set, then restores their earlier values. */
+  private def withSQLConf[A](kvs: (String, String)*)(body: => A): A = {
+    val before = kvs.map { case (k, _) => k -> spark.conf.getOption(k) }
+    kvs.foreach { case (k, v) => spark.conf.set(k, v) }
+    try body
+    finally before.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None) => spark.conf.unset(k)
+    }
+  }
+
+  test("the default plan packs consecutive records into at most defaultParallelism partitions") {
+    packedRecords
+    val parts = planned(packedDir)
+    assert(parts.size > 1 && parts.size <= spark.sparkContext.defaultParallelism, parts)
+    assert(parts.flatten == PcrEncoder.listRecords(packedDir))
+  }
+
+  test("maxPartitionBytes=1 plans one record per partition") {
+    packedRecords
+    assert(withSQLConf("spark.sql.files.maxPartitionBytes" -> "1")(planned(packedDir)) ==
+      PcrEncoder.listRecords(packedDir).map(Seq(_)))
+  }
+
+  test("minPartitionNum raises the partition count") {
+    val n = packedRecords.size
+    val counts = Seq(1, 3, n).map(k => withSQLConf("spark.sql.files.minPartitionNum" -> k.toString)(planned(packedDir).size))
+    assert(counts == Seq(1, 3, n))
+    assert(spark.conf.getOption("spark.sql.files.minPartitionNum").isEmpty)
+  }
+
+  test("a packed scan yields readRecord's images in path order with exact metrics") {
+    val df = spark.read.format("pcr").option("scanGroup", 5).load(packedDir)
+    val rows = df.collect()
+    val direct = packedRecords.flatMap(r => PcrDecoder.readRecord(r.path, 5))
+    assert(rows.map(r => (r.getLong(0), r.getInt(1), r.getInt(4), r.getDouble(5))).toSeq ==
+      direct.map(d => (d.id, d.label, d.scanGroup, d.bytesRead)))
+    for ((r, d) <- rows.zip(direct); (plane, column) <- Seq(d.image.y, d.image.cb, d.image.cr).zip(Seq("y", "cb", "cr")))
+      assert(r.getAs[Array[Byte]](column).map(_ & 0xff).sameElements(plane), s"image ${d.id} column $column")
+    val m = scanOf(df).metrics.map { case (k, v) => k -> v.value }
+    assert(m("imagesDecoded") == direct.size && m("recordBytesRead") == packedRecords.map(_.prefixBytes(5)).sum, m)
+  }
+
+  test("a packed scan runs one task per planned partition") {
+    packedRecords
+    withSQLConf("spark.sql.files.minPartitionNum" -> "3") {
+      assert(planned(packedDir).size == 3)
+      assert(jobStats(spark.read.format("pcr").load(packedDir).select("id", "y").collect()) == ((1, 3, 0L)))
+    }
+  }
+
+  test("an empty directory plans no partition and scans no row") {
+    val empty = TempDirs.create("pcr-empty").toString
+    assert(planned(empty).isEmpty)
+    assert(spark.read.format("pcr").load(empty).select("id", "y").collect().isEmpty)
+  }
+
   test("metadata queries read only the header: a record cut after its header answers them") {
     val m = manifests.head
-    val intact = Files.createTempDirectory("pcr-intact")
-    val cut = Files.createTempDirectory("pcr-cut")
+    val intact = TempDirs.create("pcr-intact")
+    val cut = TempDirs.create("pcr-cut")
     val name = Paths.get(m.path).getFileName
     Files.copy(Paths.get(m.path), intact.resolve(name))
     Files.write(cut.resolve(name), Files.readAllBytes(Paths.get(m.path)).take(m.groupEndOffsets.head.toInt),
@@ -299,7 +365,7 @@ class PcrDataSourceSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("an empty directory counts 0 and has no label group; a missing one still throws") {
-    val empty = spark.read.format("pcr").load(Files.createTempDirectory("pcr-empty").toString)
+    val empty = spark.read.format("pcr").load(TempDirs.create("pcr-empty").toString)
     assert(empty.count() == 0)
     assert(empty.groupBy("label").count().collect().isEmpty)
     assert(empty.groupBy("label", "id").agg(count("width")).collect().isEmpty)

@@ -3,14 +3,14 @@ package repro.core
 import java.nio.file.{Files, Paths}
 import java.security.MessageDigest
 
-import repro.SparkSpec
+import repro.{SparkSpec, TempDirs}
 import repro.imaging.SyntheticImages
 import repro.jpeg.Codec
 
 /** End-to-end tests of the Spark encoder job + decoder over real files. */
 class PcrSparkSpec extends SparkSpec {
 
-  private lazy val dir = Files.createTempDirectory("pcr-test").toString
+  private lazy val dir = TempDirs.create("pcr-test").toString
   private val spec = SyntheticImages.imagenet
   private val sf = 0.02 // 256 images → 2 records of 128
   private lazy val manifests = PcrEncoder.encodeDataset(spark, spec, sf, dir)
@@ -91,8 +91,8 @@ class PcrSparkSpec extends SparkSpec {
 
   test("a dataset that is not a multiple of imagesPerRecord ends in a short record, byte for byte") {
     val sfShort = 300.0 / 12800 // 300 images → 128 + 128 + 44
-    val pcrDir = Files.createTempDirectory("pcr-short").toString
-    val tfrDir = Files.createTempDirectory("tfr-short").toString
+    val pcrDir = TempDirs.create("pcr-short").toString
+    val tfrDir = TempDirs.create("tfr-short").toString
     val pcr = PcrEncoder.encodeDataset(spark, spec, sfShort, pcrDir)
     val tfr = BaselineFormats.writeTfRecordLike(spark, spec, sfShort, tfrDir)
     assert(pcr.map(_.nImages) == Seq(128, 128, 44))

@@ -10,7 +10,7 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkList
 import org.apache.spark.sql.SparkSession
 import org.scalatest.Assertions
 
-import repro.SparkSpec
+import repro.{SparkSpec, TempDirs}
 import repro.imaging.SyntheticImages
 
 /** The shared record writer: atomic record files, and one shuffle-free task
@@ -26,7 +26,7 @@ class RecordWriterSpec extends SparkSpec {
 
   test("a serializer that throws for one record leaves neither a final nor a temp file for it") {
     import spark.implicits._
-    val dir = Files.createTempDirectory("writer-fail")
+    val dir = TempDirs.create("writer-fail")
     intercept[Exception] {
       RecordWriter.writeRecords(spark, 300L, 128, dir.toString, "pcr") { ids =>
         if (ids.head == 128L) throw new IllegalStateException("serializer failed")
@@ -37,7 +37,7 @@ class RecordWriterSpec extends SparkSpec {
   }
 
   test("writeAtomically replaces an existing record and cleans up after a failed rename") {
-    val dir = Files.createTempDirectory("writer-atomic")
+    val dir = TempDirs.create("writer-atomic")
     val path = dir.resolve("record-00000.tfr")
     RecordWriter.writeAtomically(path, Array[Byte](1, 2, 3))
     RecordWriter.writeAtomically(path, Array[Byte](4, 5))
@@ -51,7 +51,7 @@ class RecordWriterSpec extends SparkSpec {
   }
 
   test("listRecords ignores a stray temp file") {
-    val dir = Files.createTempDirectory("writer-stray")
+    val dir = TempDirs.create("writer-stray")
     RecordWriter.writeAtomically(dir.resolve("record-00000.pcr"), Array[Byte](1))
     Files.write(dir.resolve(s".record-00001.pcr.${UUID.randomUUID()}.tmp"), Array[Byte](1))
     assert(PcrEncoder.listRecords(dir.toString) == Seq(dir.resolve("record-00000.pcr").toString))
@@ -64,8 +64,8 @@ class RecordWriterSpec extends SparkSpec {
   test("both writers run one task per record and shuffle nothing") {
     val spec = SyntheticImages.cars
     val sf = 0.1 // 80 images → records of 64 and 16
-    val pcrDir = Files.createTempDirectory("writer-pcr").toString
-    val tfrDir = Files.createTempDirectory("writer-tfr").toString
+    val pcrDir = TempDirs.create("writer-pcr").toString
+    val tfrDir = TempDirs.create("writer-tfr").toString
     var pcr = Seq.empty[RecordManifest]
     var tfr = Seq.empty[(String, Long)]
     assert(taskStats { pcr = PcrEncoder.encodeDataset(spark, spec, sf, pcrDir) } == ((2, 0L)))

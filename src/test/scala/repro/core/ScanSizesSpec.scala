@@ -1,8 +1,6 @@
 package repro.core
 
-import java.nio.file.Files
-
-import repro.SparkSpec
+import repro.{SparkSpec, TempDirs}
 import repro.imaging.SyntheticImages
 import repro.jpeg.Codec
 
@@ -13,7 +11,7 @@ class ScanSizesSpec extends SparkSpec {
 
   private val spec = SyntheticImages.celebahq
   private val sf = 0.05 // 120 images → records of 96 and 24
-  private lazy val base = Files.createTempDirectory("scan-sizes").toString
+  private lazy val base = TempDirs.create("scan-sizes").toString
   private lazy val manifests = PcrEncoder.encodeDataset(spark, spec, sf, s"$base/pcr")
   private lazy val tfr = BaselineFormats.writeTfRecordLike(spark, spec, sf, s"$base/tfr")
 

@@ -5,7 +5,7 @@ import java.nio.file.{Files, Paths}
 import scala.jdk.CollectionConverters._
 import scala.util.Using
 
-import repro.SparkSpec
+import repro.{SparkSpec, TempDirs}
 import repro.core.{PcrDecoder, PcrEncoder, RecordManifest}
 import repro.experiments.Table3Datasets
 import repro.imaging.SyntheticImages
@@ -30,7 +30,7 @@ class MainSpec extends SparkSpec {
   }
 
   test("Table3Datasets renders one row per dataset written under its output dir") {
-    val out = Files.createTempDirectory("main-table3").toString
+    val out = TempDirs.create("main-table3").toString
     val table = Main.run(() => spark, "Table3Datasets", Seq("0.02", out))
     val fromDisk = SyntheticImages.all.map { spec =>
       val records = PcrEncoder.listRecords(s"$out/${spec.name}")
@@ -45,7 +45,7 @@ class MainSpec extends SparkSpec {
   }
 
   test("run leaves the session it is given active") {
-    Main.run(() => spark, "Table3Datasets", Seq("0.01", Files.createTempDirectory("main-active").toString))
+    Main.run(() => spark, "Table3Datasets", Seq("0.01", TempDirs.create("main-active").toString))
     assert(!spark.sparkContext.isStopped)
     assert(spark.range(3).count() == 3)
   }

@@ -1,15 +1,13 @@
 package repro.train
 
-import java.nio.file.Files
-
-import repro.SparkSpec
+import repro.{SparkSpec, TempDirs}
 import repro.core.PcrEncoder
 import repro.imaging.{Rng, SyntheticImages}
 
 class TrainerSpec extends SparkSpec {
 
   private lazy val pcrDir = {
-    val d = Files.createTempDirectory("pcr-train").toString
+    val d = TempDirs.create("pcr-train").toString
     PcrEncoder.encodeDataset(spark, SyntheticImages.celebahq, 0.05, d)
     d
   }
