@@ -17,8 +17,9 @@ final case class DecodedImage(
     image: PlanarImage)
 
 /** One [[PcrDecoder.read]] of a record: the indices of the selected images,
-  * their decoded images (parallel to `selected`, empty when not decoded)
-  * and the bytes fetched from the file.
+  * their decoded images (parallel to `selected`, empty when no component
+  * was decoded; a component not decoded is flat 128) and the bytes
+  * fetched from the file.
   */
 final case class RecordRead(
     header: PcrHeader,
@@ -101,23 +102,24 @@ object PcrDecoder {
 
   /** The one read of a record: open `path` once, read its header and
     * select the images whose `(id, label)` pass `keep` (all without it).
-    * Only when `decode` is set and some image is selected does it read the
-    * rest of the prefix for `scanGroup` (capped to the record's group
-    * count) through the same file and decode the selected images.
+    * Only when `components` is non-empty and some image is selected does
+    * it read the rest of the prefix for `scanGroup` (capped to the
+    * record's group count) through the same file and decode those
+    * components (0 = y, 1 = cb, 2 = cr) of the selected images.
     */
   def read(
       path: String,
       scanGroup: Int,
-      decode: Boolean = true,
+      components: Seq[Int] = Codec.AllComponents,
       keep: Option[(Long, Int) => Boolean] = None): RecordRead = withFile(path) { raf =>
     val (header, hdr) = openRecord(raf, path)
     val g = math.min(scanGroup, header.nScanGroups)
     val selected = header.ids.indices.filter(k => keep.forall(_(header.ids(k), header.labels(k)))).toArray
-    if (!decode || selected.isEmpty) RecordRead(header, g, selected, Array.empty, hdr.length)
+    if (components.isEmpty || selected.isEmpty) RecordRead(header, g, selected, Array.empty, hdr.length)
     else {
       val entries = readPrefix(raf, path, header, hdr, g)
       val images = selected.map(k =>
-        Codec.decodeProgressive(entries(k).scans, header.quality, header.width, header.height))
+        Codec.decodeProgressive(entries(k).scans, header.quality, header.width, header.height, components))
       RecordRead(header, g, selected, images, header.prefixLength(g))
     }
   }

@@ -40,14 +40,18 @@ import repro.core.{PcrDecoder, PcrEncoder, RecordRead}
   *
   * Schema: `id, label, width, height, scan_group, bytes_read, y, cb, cr`
   * where `bytes_read` is the record prefix length amortized per image and
-  * the planes are decoded pixels (one unsigned byte each).
+  * `y`, `cb`, `cr` are the image's planes, one unsigned byte per pixel.
   *
   * The scan reads only the columns a query uses. A query that uses none of
   * `y`, `cb`, `cr` reads each record's header and nothing else: every
-  * other column is in the header (§3, Fig. 4). Predicates on `id` and
-  * `label` are evaluated against the header, so images that fail them are
-  * never decoded, and a record none of whose images pass is never
-  * prefix-read. Spark re-checks every predicate after the scan.
+  * other column is in the header (§3, Fig. 4). Otherwise each plane is
+  * decoded only when it is selected: a query of `y` alone entropy-decodes
+  * and reconstructs luma only, skipping the chroma scans. The bytes read
+  * are the same either way, the record prefix at the requested fidelity.
+  * Predicates on `id` and `label` are evaluated against the header, so
+  * images that fail them are never decoded, and a record none of whose
+  * images pass is never prefix-read. Spark re-checks every predicate after
+  * the scan.
   *
   * `COUNT(*)` and `COUNT(column)` of header columns, grouped by header
   * columns, are answered by the scan itself ([[PcrCountScan]]): one task
@@ -282,22 +286,23 @@ class PcrReaderFactory(
 
 /** Reads `paths` in turn, one record at a time, through [[PcrDecoder.read]]
   * and emits one row per image that passes `keep`, holding only `columns`.
-  * Without a pixel column each record's header alone is read; otherwise
-  * the kept images of a record are decoded when its first row is asked
-  * for. Its metrics are summed over the records read.
+  * Without a plane column each record's header alone is read; otherwise
+  * the selected planes of the kept images of a record are decoded when its
+  * first row is asked for. Its metrics are summed over the records read.
   */
 class PcrPartitionReader(
     paths: Seq[String],
     scanGroup: Int,
     columns: Array[Int],
     keep: Option[ImageFilter.Keep]) extends PartitionReader[InternalRow] {
-  private val decodes = columns.exists(_ >= PcrTable.FirstPlane)
+  /** Codec component of each selected plane column: `y` 0, `cb` 1, `cr` 2. */
+  private val planes = columns.filter(_ >= PcrTable.FirstPlane).map(_ - PcrTable.FirstPlane).distinct.sorted.toSeq
   private var current: InternalRow = _
   private var imagesDecoded = 0L
   private var fetched = 0L
 
   private val rows: Iterator[InternalRow] = paths.iterator.flatMap { path =>
-    val record = PcrDecoder.read(path, scanGroup, decodes, keep)
+    val record = PcrDecoder.read(path, scanGroup, planes, keep)
     imagesDecoded += record.images.length
     fetched += record.bytesFetched
     record.selected.indices.iterator.map(rowOf(record, _))

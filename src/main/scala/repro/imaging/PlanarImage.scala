@@ -36,7 +36,15 @@ final case class PlanarImage(
   }
 
   /** Box-downsample the luma plane by integer `factor` (must divide dims). */
-  def downsampleY(factor: Int): Array[Double] = {
+  def downsampleY(factor: Int): Array[Double] = PlanarImage.downsample(y, width, height, factor)
+}
+
+object PlanarImage {
+
+  /** Box-downsample a `width`×`height` plane by integer `factor` (must
+    * divide both).
+    */
+  def downsample(plane: Array[Int], width: Int, height: Int, factor: Int): Array[Double] = {
     require(factor > 0 && width % factor == 0 && height % factor == 0, s"bad factor $factor")
     val ow = width / factor; val oh = height / factor
     val out = new Array[Double](ow * oh)
@@ -48,7 +56,7 @@ final case class PlanarImage(
         while (dy < factor) {
           var dx = 0
           val rowBase = (by * factor + dy) * width + bx * factor
-          while (dx < factor) { s += y(rowBase + dx); dx += 1 }
+          while (dx < factor) { s += plane(rowBase + dx); dx += 1 }
           dy += 1
         }
         out(by * ow + bx) = s / (factor * factor)
@@ -58,9 +66,6 @@ final case class PlanarImage(
     }
     out
   }
-}
-
-object PlanarImage {
 
   /** A flat mid-gray image — the decoder's starting canvas. */
   def flat(width: Int, height: Int, value: Int = 128): PlanarImage =

@@ -49,24 +49,14 @@ final class BitWriter(initialCapacity: Int = 256) {
   *
   * Up to 64 bits are buffered, left-aligned in a `Long`: a read peeks at the
   * top `n` bits and consumes them, and refills a byte at a time only when
-  * fewer than `n` remain.
+  * fewer than `n` remain. The codec's block loops copy the state into
+  * locals and write it back when done.
   */
-final class BitReader(bytes: Array[Byte]) {
+final class BitReader(private[jpeg] val bytes: Array[Byte]) {
   private val nBits = bytes.length.toLong * 8
-  private var next = 0 // index of the next byte to buffer
-  private var window = 0L // unread bits, MSB first; bits below nWindow are 0
-  private var nWindow = 0
-  private var pos = 0L // bits consumed, including padding past the end
-
-  /** Buffer bytes until more than 56 bits are unread. */
-  private def refill(): Unit =
-    while (nWindow <= 56) {
-      val b =
-        if (next < bytes.length) { val v = bytes(next) & 0xff; next += 1; v }
-        else 0xff
-      window |= b.toLong << (56 - nWindow)
-      nWindow += 8
-    }
+  private[jpeg] var window = 0L // unread bits, MSB first; bits below nWindow are 0
+  private[jpeg] var nWindow = 0
+  private[jpeg] var pos = 0L // bits consumed, including padding past the end
 
   def readBit(): Int = readBits(1)
 
@@ -77,7 +67,7 @@ final class BitReader(bytes: Array[Byte]) {
       0
     } else {
       require(n <= 32, s"bad bit count $n")
-      if (nWindow < n) refill()
+      if (nWindow < n) { window = BitReader.fill(bytes, window, nWindow, pos); nWindow += (64 - nWindow) & ~7 }
       val v = (window >>> (64 - n)).toInt
       window <<= n
       nWindow -= n
@@ -88,4 +78,26 @@ final class BitReader(bytes: Array[Byte]) {
 
   def bitsRead: Long = pos
   def exhausted: Boolean = pos >= nBits
+}
+
+object BitReader {
+
+  /** `window` with whole bytes of `bytes` appended below its `nWindow`
+    * unread bits until more than 56 are unread, 1s past the end of
+    * `bytes`. `pos + nWindow` bits, always whole bytes, are buffered so
+    * far. The caller adds the bits appended, `(64 - nWindow) & ~7`, to
+    * `nWindow`.
+    */
+  private[jpeg] def fill(bytes: Array[Byte], window: Long, nWindow: Int, pos: Long): Long = {
+    var w = window
+    var n = nWindow
+    var next = (pos + nWindow) >>> 3
+    while (n <= 56) {
+      val b = if (next < bytes.length) bytes(next.toInt) & 0xff else 0xff
+      w |= b.toLong << (56 - n)
+      n += 8
+      next += 1
+    }
+    w
+  }
 }

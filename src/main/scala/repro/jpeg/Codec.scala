@@ -36,13 +36,9 @@ object Codec {
   private def writeSigned(bw: BitWriter, v: Int, s: Int): Unit =
     if (v >= 0) bw.writeBits(v, s) else bw.writeBits(v + (1 << s) - 1, s)
 
-  private def readSigned(br: BitReader, s: Int): Int = {
-    if (s == 0) 0
-    else {
-      val raw = br.readBits(s)
-      if (raw < (1 << (s - 1))) raw - (1 << s) + 1 else raw
-    }
-  }
+  /** The value of `s ≥ 1` raw bits in that coding. */
+  private def extend(raw: Int, s: Int): Int =
+    if (raw < (1 << (s - 1))) raw - (1 << s) + 1 else raw
 
   // ------------------------------------------------------- pixels <-> coefs
 
@@ -106,7 +102,13 @@ object Codec {
       val bw = w / 8
       val px = new Array[Int](w * h)
       // Received AC slots, in zigzag order; the others stay 0.0 in coefRm.
-      val acs = (1 until 64).filter(k => d(k) >= 0).toArray
+      val acs = new Array[Int](63)
+      var nAcs = 0
+      var slot = 1
+      while (slot < 64) {
+        if (d(slot) >= 0) { acs(nAcs) = slot; nAcs += 1 }
+        slot += 1
+      }
       java.util.Arrays.fill(coefRm, 0.0)
       var b = 0
       while (b < blocks.length) {
@@ -114,7 +116,7 @@ object Codec {
         val origin = (b / bw) * 8 * w + (b % bw) * 8
         var nonZeroAc = 0
         var j = 0
-        while (j < acs.length) {
+        while (j < nAcs) {
           val k = acs(j)
           val al = d(k)
           val v  = zz(k)
@@ -252,14 +254,25 @@ object Codec {
     script.iterator.map(encodeScan(ci, _)).toVector
   }
 
+  /** Every component of an image: luma, then the two chroma planes. */
+  val AllComponents: Seq[Int] = Seq(0, 1, 2)
+
   /** Decode the first `scans.length` scans of `script` back into received
     * coefficient values plus the per-coefficient bit depth reached.
+    *
+    * Only `components` are decoded. A scan that holds none of them is
+    * skipped, and a scan of several components is read only up to the end
+    * of the last wanted one's blocks: a scan codes its components one after
+    * another. Every other component keeps depth −1, which
+    * [[fromCoefficients]] renders as flat 128. A scan whose decode reads
+    * past the end of its stream is rejected.
     */
   def decodeScans(
       scans: Seq[Array[Byte]],
       script: Seq[ScanSpec],
       width: Int,
-      height: Int): (CoefImage, Array[Array[Int]]) = {
+      height: Int,
+      components: Seq[Int] = AllComponents): (CoefImage, Array[Array[Int]]) = {
     require(scans.length <= script.length,
       s"${scans.length} scan payloads but script has ${script.length}")
     val nc = 3
@@ -268,86 +281,150 @@ object Codec {
     val comps = Array.tabulate(nc)(c => Array.fill(nBlocks(c))(new Array[Int](64)))
     val depth = Array.fill(nc, 64)(-1)
 
-    for (((bytes, spec), si) <- scans.zip(script).zipWithIndex) {
-      val br = new BitReader(bytes)
-      def corrupt(c: Int, b: Int, what: String) = new IllegalArgumentException(
-        s"corrupt scan $si (band [${spec.ss}, ${spec.se}]), component $c, block $b: $what")
-      for (c <- spec.components) {
-        val blocks = comps(c)
-        if (spec.coversDc && !spec.isRefinement) {
-          var prev = 0
-          var b = 0
-          while (b < blocks.length) {
-            val s = br.readBits(4)
-            val diff = readSigned(br, s)
-            prev += diff
-            blocks(b)(0) = prev
-            b += 1
-          }
-        } else if (spec.coversDc && spec.isRefinement) {
-          var b = 0
-          while (b < blocks.length) {
-            blocks(b)(0) = (blocks(b)(0) << 1) | br.readBit()
-            b += 1
-          }
-        }
+    var si = 0
+    val it = scans.iterator
+    while (it.hasNext) {
+      val bytes = it.next()
+      val spec = script(si)
+      val nRead = spec.components.lastIndexWhere(components.contains) + 1
+      if (nRead > 0) {
+        val br = new BitReader(bytes)
         val acStart = math.max(1, spec.ss)
-        if (spec.se >= acStart) {
-          if (!spec.isRefinement) {
-            var b = 0
-            while (b < blocks.length) {
-              val zz = blocks(b)
-              var k = acStart
-              var done = false
-              while (k <= spec.se && !done) {
-                val rs  = br.readBits(8)
-                val run = rs >>> 4
-                val s   = rs & 15
-                if (run == 0 && s == 0) done = true          // EOB
-                else {
-                  // A valid ZRL is followed by a coefficient, so it too ends inside the band.
-                  val zrl = run == 15 && s == 0
-                  k += (if (zrl) 16 else run)
-                  if (k > spec.se) throw corrupt(c, b, s"run to position $k")
-                  if (!zrl) {
-                    zz(k) = readSigned(br, s)
-                    k += 1
-                  }
-                }
-              }
-              b += 1
-            }
-          } else {
-            var b = 0
-            while (b < blocks.length) {
-              val zz = blocks(b)
-              var k = acStart
-              while (k <= spec.se) {
-                if (zz(k) != 0) {
-                  val bit = br.readBit()
-                  val mag = (math.abs(zz(k)) << 1) | bit
-                  zz(k) = if (zz(k) > 0) mag else -mag
-                }
-                k += 1
-              }
-              val nNew = br.readBits(6)
-              if (nNew > spec.se - acStart + 1) throw corrupt(c, b, s"$nNew new coefficients")
-              var i = 0
-              while (i < nNew) {
-                val pos = br.readBits(6)
-                if (pos < acStart || pos > spec.se) throw corrupt(c, b, s"new coefficient at position $pos")
-                zz(pos) = if (br.readBit() == 1) 1 else -1
-                i += 1
-              }
-              b += 1
-            }
+        var i = 0
+        while (i < nRead) {
+          val c = spec.components(i)
+          if (spec.coversDc) {
+            if (spec.isRefinement) refineDc(br, comps(c)) else firstDc(br, comps(c))
           }
+          if (spec.se >= acStart) {
+            if (spec.isRefinement) refineAc(br, comps(c), spec, si, c) else firstAc(br, comps(c), spec, si, c)
+          }
+          i += 1
         }
-        var k = spec.ss
-        while (k <= spec.se) { depth(c)(k) = spec.al; k += 1 }
+        if (br.bitsRead > 8L * bytes.length) throw new IllegalArgumentException(
+          s"corrupt scan $si (band [${spec.ss}, ${spec.se}]): read ${br.bitsRead} bits of a ${bytes.length}-byte stream")
+        for (c <- spec.components if components.contains(c)) {
+          var k = spec.ss
+          while (k <= spec.se) { depth(c)(k) = spec.al; k += 1 }
+        }
       }
+      si += 1
     }
     (CoefImage(width, height, comps), depth)
+  }
+
+  // Each block loop below keeps `br`'s bit window (`win`, its `nWin` unread
+  // bits MSB first, 0s below) and its consumed count `used` in locals, and
+  // writes them back once at the end, like libjpeg's BITREAD_LOAD_STATE /
+  // BITREAD_SAVE_STATE. A symbol is one peek after one refill check.
+
+  private def corrupt(spec: ScanSpec, si: Int, c: Int, b: Int, what: String) = new IllegalArgumentException(
+    s"corrupt scan $si (band [${spec.ss}, ${spec.se}]), component $c, block $b: $what")
+
+  /** DC first pass: a 4-bit size, then that many bits of the difference. */
+  private def firstDc(br: BitReader, blocks: Array[Array[Int]]): Unit = {
+    val bytes = br.bytes
+    var win = br.window; var nWin = br.nWindow; var used = br.pos
+    var prev = 0
+    var b = 0
+    while (b < blocks.length) {
+      if (nWin < 19) { win = BitReader.fill(bytes, win, nWin, used); nWin += (64 - nWin) & ~7 }
+      val s = (win >>> 60).toInt
+      if (s != 0) prev += extend(((win << 4) >>> (64 - s)).toInt, s)
+      blocks(b)(0) = prev
+      win <<= 4 + s; nWin -= 4 + s; used += 4 + s
+      b += 1
+    }
+    br.window = win; br.nWindow = nWin; br.pos = used
+  }
+
+  /** DC refinement: one bit per block. */
+  private def refineDc(br: BitReader, blocks: Array[Array[Int]]): Unit = {
+    val bytes = br.bytes
+    var win = br.window; var nWin = br.nWindow; var used = br.pos
+    var b = 0
+    while (b < blocks.length) {
+      if (nWin == 0) { win = BitReader.fill(bytes, win, nWin, used); nWin += (64 - nWin) & ~7 }
+      blocks(b)(0) = (blocks(b)(0) << 1) | (win >>> 63).toInt
+      win <<= 1; nWin -= 1; used += 1
+      b += 1
+    }
+    br.window = win; br.nWindow = nWin; br.pos = used
+  }
+
+  /** AC first pass: an 8-bit (run, size) symbol, then `size` value bits. */
+  private def firstAc(br: BitReader, blocks: Array[Array[Int]], spec: ScanSpec, si: Int, c: Int): Unit = {
+    val bytes = br.bytes
+    var win = br.window; var nWin = br.nWindow; var used = br.pos
+    val se = spec.se
+    val acStart = math.max(1, spec.ss)
+    var b = 0
+    while (b < blocks.length) {
+      val zz = blocks(b)
+      var k = acStart
+      while (k <= se) {
+        if (nWin < 23) { win = BitReader.fill(bytes, win, nWin, used); nWin += (64 - nWin) & ~7 }
+        val rs = (win >>> 56).toInt
+        if (rs == 0) { // EOB
+          win <<= 8; nWin -= 8; used += 8
+          k = se + 1
+        } else {
+          // A valid ZRL is followed by a coefficient, so it too ends inside the band.
+          val zrl = rs == 0xf0
+          val s = rs & 15
+          k += (if (zrl) 16 else rs >>> 4)
+          if (k > se) throw corrupt(spec, si, c, b, s"run to position $k")
+          val n = if (zrl) 8 else 8 + s
+          if (!zrl) {
+            zz(k) = if (s == 0) 0 else extend(((win << 8) >>> (64 - s)).toInt, s)
+            k += 1
+          }
+          win <<= n; nWin -= n; used += n
+        }
+      }
+      b += 1
+    }
+    br.window = win; br.nWindow = nWin; br.pos = used
+  }
+
+  /** AC refinement: one correction bit per significant slot, then a 6-bit
+    * count of new coefficients, each a 6-bit position and a sign bit.
+    */
+  private def refineAc(br: BitReader, blocks: Array[Array[Int]], spec: ScanSpec, si: Int, c: Int): Unit = {
+    val bytes = br.bytes
+    var win = br.window; var nWin = br.nWindow; var used = br.pos
+    val se = spec.se
+    val acStart = math.max(1, spec.ss)
+    var b = 0
+    while (b < blocks.length) {
+      val zz = blocks(b)
+      var k = acStart
+      while (k <= se) {
+        val v = zz(k)
+        if (v != 0) {
+          if (nWin == 0) { win = BitReader.fill(bytes, win, nWin, used); nWin += (64 - nWin) & ~7 }
+          val mag = (math.abs(v) << 1) | (win >>> 63).toInt
+          zz(k) = if (v > 0) mag else -mag
+          win <<= 1; nWin -= 1; used += 1
+        }
+        k += 1
+      }
+      if (nWin < 6) { win = BitReader.fill(bytes, win, nWin, used); nWin += (64 - nWin) & ~7 }
+      val nNew = (win >>> 58).toInt
+      win <<= 6; nWin -= 6; used += 6
+      if (nNew > se - acStart + 1) throw corrupt(spec, si, c, b, s"$nNew new coefficients")
+      var i = 0
+      while (i < nNew) {
+        if (nWin < 7) { win = BitReader.fill(bytes, win, nWin, used); nWin += (64 - nWin) & ~7 }
+        val pos = (win >>> 58).toInt
+        if (pos < acStart || pos > se) throw corrupt(spec, si, c, b, s"new coefficient at position $pos")
+        zz(pos) = if (((win >>> 57) & 1L) != 0) 1 else -1
+        win <<= 7; nWin -= 7; used += 7
+        i += 1
+      }
+      b += 1
+    }
+    br.window = win; br.nWindow = nWin; br.pos = used
   }
 
   // ---------------------------------------------------------- public facade
@@ -357,10 +434,16 @@ object Codec {
     encodeScript(toCoefficients(img, quality), ScanScript.progressive10)
 
   /** Decode the first `scans.length` scans — the PCR "read up to scan group
-    * g" path. Fewer scans → lower-fidelity reconstruction of all blocks.
+    * g" path. Fewer scans → lower-fidelity reconstruction of all blocks;
+    * components not in `components` are flat 128 (see [[decodeScans]]).
     */
-  def decodeProgressive(scans: Seq[Array[Byte]], quality: Int, width: Int, height: Int): PlanarImage =
-    decode(scans, ScanScript.progressive10, quality, width, height)
+  def decodeProgressive(
+      scans: Seq[Array[Byte]],
+      quality: Int,
+      width: Int,
+      height: Int,
+      components: Seq[Int] = AllComponents): PlanarImage =
+    decode(scans, ScanScript.progressive10, quality, width, height, components)
 
   /** Baseline sequential encode: a single framed byte payload. */
   def encodeSequential(img: PlanarImage, quality: Int): Array[Byte] = {
@@ -370,15 +453,16 @@ object Codec {
 
   /** Decode a baseline sequential payload produced by [[encodeSequential]]. */
   def decodeSequential(bytes: Array[Byte], quality: Int, width: Int, height: Int): PlanarImage =
-    decode(unframe(bytes), ScanScript.sequential(3), quality, width, height)
+    decode(unframe(bytes), ScanScript.sequential(3), quality, width, height, AllComponents)
 
   private def decode(
       scans: Seq[Array[Byte]],
       script: Seq[ScanSpec],
       quality: Int,
       width: Int,
-      height: Int): PlanarImage = {
-    val (ci, depth) = decodeScans(scans, script, width, height)
+      height: Int,
+      components: Seq[Int]): PlanarImage = {
+    val (ci, depth) = decodeScans(scans, script, width, height, components)
     fromCoefficients(ci, quality, depth)
   }
 

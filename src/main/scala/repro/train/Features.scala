@@ -25,15 +25,22 @@ object Features {
     out
   }
 
-  def lowpass(img: PlanarImage): Array[Double] = normalize(img.downsampleY(4))
+  def lowpass(width: Int, height: Int, y: Array[Int]): Array[Double] =
+    normalize(PlanarImage.downsample(y, width, height, 4))
 
-  def fullres(img: PlanarImage): Array[Double] = normalize(img.y.map(_.toDouble))
+  def fullres(width: Int, height: Int, y: Array[Int]): Array[Double] = normalize(y.map(_.toDouble))
 
-  /** Extractor + compute-rate constants for one model "architecture". */
+  /** Extractor + compute-rate constants for one model "architecture".
+    * `luma` maps a `width`×`height` luma plane to features: both
+    * architectures see luma only, so a reader need decode nothing else.
+    */
   final case class ModelArch(
       name: String,
-      extract: PlanarImage => Array[Double],
-      imagesPerSecPerNode: Double)
+      luma: (Int, Int, Array[Int]) => Array[Double],
+      imagesPerSecPerNode: Double) {
+
+    def extract(img: PlanarImage): Array[Double] = luma(img.width, img.height, img.y)
+  }
 
   val resnetLite: ModelArch    = ModelArch("resnet-lite", lowpass, 450.0)
   val shufflenetLite: ModelArch = ModelArch("shufflenet-lite", fullres, 750.0)

@@ -2,8 +2,6 @@ package repro.train
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 
-import repro.imaging.PlanarImage
-
 /** Full-batch gradient training driven by Spark.
   *
   * Gradients are exact (no minibatch noise), computed with one
@@ -12,8 +10,9 @@ import repro.imaging.PlanarImage
   */
 object Trainer {
 
-  /** Decode a DSv2 `pcr` row back into a [[LabeledVec]] via `arch`'s
-    * feature extractor; `labelMap` remaps labels for coarse tasks.
+  /** Decode the luma plane of each DSv2 `pcr` row into a [[LabeledVec]]
+    * via `arch`'s feature extractor; `labelMap` remaps labels for coarse
+    * tasks. The scan selects `y` only, so no chroma is decoded.
     */
   def featuresAt(
       spark: SparkSession,
@@ -23,12 +22,9 @@ object Trainer {
       labelMap: Int => Int = identity): Dataset[LabeledVec] = {
     import spark.implicits._
     spark.read.format("pcr").option("scanGroup", scanGroup).load(pcrDir)
-      .select("id", "label", "width", "height", "y", "cb", "cr")
-      .as[(Long, Int, Int, Int, Array[Byte], Array[Byte], Array[Byte])]
-      .map { case (id, label, w, h, y, cb, cr) =>
-        val img = PlanarImage(w, h, unsigned(y), unsigned(cb), unsigned(cr))
-        LabeledVec(id, labelMap(label), arch.extract(img))
-      }
+      .select("id", "label", "width", "height", "y")
+      .as[(Long, Int, Int, Int, Array[Byte])]
+      .map { case (id, label, w, h, y) => LabeledVec(id, labelMap(label), arch.luma(w, h, unsigned(y))) }
   }
 
   /** A plane of unsigned bytes as the pixel values 0–255. */

@@ -215,6 +215,24 @@ class PcrDataSourceSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       "recordBytesRead" -> (first.groupEndOffsets.head + second.prefixBytes(5))))
   }
 
+  test("a luma query skips the chroma scans: Cb scans overwritten with 0xFF still give readRecord's luma") {
+    val first = records.head
+    val header = PcrDecoder.readHeader(first.path)
+    // Scan group 3 holds every image's Cb AC scan: keep its length table, overwrite its scans.
+    val bytes = Files.readAllBytes(Paths.get(first.path))
+    java.util.Arrays.fill(bytes, (header.groupEndOffsets(2) + 4L * header.nImages).toInt,
+      header.groupEndOffsets(3).toInt, 0xff.toByte)
+    val dir = TempDirs.create("pcr-cb-overwritten")
+    Files.write(dir.resolve(Paths.get(first.path).getFileName), bytes)
+    val df = spark.read.format("pcr").load(dir.toString)
+    val rows = df.select("id", "y").collect()
+    val intact = PcrDecoder.readRecord(first.path, Int.MaxValue)
+    assert(rows.map(_.getLong(0)).toSeq == intact.map(_.id))
+    for ((r, d) <- rows.zip(intact)) assert(r.getAs[Array[Byte]](1).map(_ & 0xff).sameElements(d.image.y), s"image ${d.id}")
+    val e = intercept[Exception](df.select("id", "cb").collect())
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).exists(_.isInstanceOf[IllegalArgumentException]), e)
+  }
+
   test("an empty partition yields no row and zero metrics") {
     assert(readPartition(Seq.empty) == ((Seq.empty, Map("imagesDecoded" -> 0L, "recordBytesRead" -> 0L))))
   }

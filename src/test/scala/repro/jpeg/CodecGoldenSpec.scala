@@ -10,6 +10,8 @@ import repro.imaging.{PlanarImage, SyntheticImages}
   * matrix-product DCT and bit-at-a-time I/O: the encoded bytes (the on-disk
   * format) and the decoded pixels at four scan prefixes, for two fixed-seed
   * images of every synthetic dataset. A change to either by one bit fails.
+  * `decodeScans` rejects a scan whose decode reads past its end, so these
+  * decodes also show that valid streams never over-read.
   */
 class CodecGoldenSpec extends AnyFunSuite {
 
@@ -113,5 +115,13 @@ class CodecGoldenSpec extends AnyFunSuite {
     }.toMap
     val changed = mismatches(got, decodedSha)
     assert(changed.isEmpty, s"decoded pixels changed: $changed")
+  }
+
+  test("every pinned stream decodes within its own bytes at every scan prefix and sequentially") {
+    for ((spec, _, img) <- images) {
+      val scans = Codec.encodeProgressive(img, spec.quality)
+      for (g <- 1 to 10) Codec.decodeProgressive(scans.take(g), spec.quality, spec.width, spec.height)
+      Codec.decodeSequential(Codec.encodeSequential(img, spec.quality), spec.quality, spec.width, spec.height)
+    }
   }
 }

@@ -1,5 +1,7 @@
 package repro.jpeg
 
+import scala.util.{Failure, Try}
+
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 
@@ -275,5 +277,56 @@ class CodecSpec extends AnyFunSuite with PropSupport {
   test("a refinement announcing more new coefficients than its band holds is rejected") {
     rejected(ScanSpec(Seq(0), 1, 5, 1, 0), "6 new coefficients", (6, 6))
     rejected(ScanSpec(Seq(0), 6, 63, 1, 0), "59 new coefficients", (59, 6))
+  }
+
+  test("a decode that reads past the end of its scan is rejected, naming the scan") {
+    // Four DC blocks read as size 15 from the 1s past the end: 4 × 19 bits.
+    val e = intercept[IllegalArgumentException](decodeLuma(ScanSpec(Seq(0), 0, 0, 0, 1)))
+    assert(e.getMessage == "corrupt scan 0 (band [0, 0]): read 76 bits of a 0-byte stream", e.getMessage)
+  }
+
+  test("dropping the last byte of any one scan of a valid image is rejected") {
+    // The encoder writes no byte without a coded bit, so a valid decode
+    // consumes a bit of every scan's last byte; without it the decode
+    // reads padding past the new end or fails a bounds check first.
+    val gen = for {
+      seed <- Gen.choose(0L, 10000L)
+      quality <- Gen.oneOf(50, 75, 92, 100)
+      si <- Gen.choose(0, 9)
+    } yield (seed, quality, si)
+    checkProp(Prop.forAll(gen) { case (seed, quality, si) =>
+      val img = if (seed % 2 == 0) randomImage(seed) else syntheticImage(seed)
+      val scans = Codec.encodeProgressive(img, quality)
+      val cut = scans.updated(si, scans(si).dropRight(1))
+      Try(Codec.decodeScans(cut, ScanScript.progressive10, img.width, img.height)) match {
+        case Failure(_: IllegalArgumentException) => true
+        case _ => false
+      }
+    }, 60)
+  }
+
+  // ------------------------------------------------ component-selective decode
+
+  test("a luma-only decode equals the full decode in luma and leaves chroma flat at every scan prefix") {
+    val gen = for {
+      spec <- Gen.oneOf(SyntheticImages.all)
+      id <- Gen.choose(0L, 10000L)
+      quality <- Gen.oneOf(50, 75, 92, 100)
+      g <- Gen.choose(0, 10)
+    } yield (spec, id, quality, g)
+    checkProp(Prop.forAll(gen) { case (spec, id, quality, g) =>
+      val img = SyntheticImages.generate(spec, id)
+      val scans = Codec.encodeProgressive(img, quality).take(g)
+      val (full, fullDepth) = Codec.decodeScans(scans, ScanScript.progressive10, img.width, img.height)
+      val (luma, lumaDepth) =
+        Codec.decodeScans(scans, ScanScript.progressive10, img.width, img.height, components = Seq(0))
+      val fullImg = Codec.fromCoefficients(full, quality, fullDepth)
+      val lumaImg = Codec.fromCoefficients(luma, quality, lumaDepth)
+      full.comps(0).indices.forall(b => full.comps(0)(b).sameElements(luma.comps(0)(b))) &&
+        lumaDepth(0).sameElements(fullDepth(0)) &&
+        lumaDepth.drop(1).forall(_.forall(_ == -1)) &&
+        lumaImg.y.sameElements(fullImg.y) &&
+        lumaImg.cb.forall(_ == 128) && lumaImg.cr.forall(_ == 128)
+    }, 40)
   }
 }

@@ -1,10 +1,13 @@
 package repro.train
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.datasources.v2.BatchScanExec
+
 import repro.{SparkSpec, TempDirs}
-import repro.core.PcrEncoder
+import repro.core.{PcrDecoder, PcrEncoder}
 import repro.imaging.{Rng, SyntheticImages}
 
-class TrainerSpec extends SparkSpec {
+class TrainerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val pcrDir = {
     val d = TempDirs.create("pcr-train").toString
@@ -57,6 +60,25 @@ class TrainerSpec extends SparkSpec {
       assert(v.features.forall(f => f >= -0.5 && f <= 0.5))
       assert(v.label == SyntheticImages.label(SyntheticImages.celebahq, v.id))
     }
+  }
+
+  test("featuresAt equals arch.extract of the library decoder's images exactly") {
+    val paths = PcrEncoder.listRecords(pcrDir)
+    for (arch <- Seq(Features.resnetLite, Features.shufflenetLite); g <- Seq(1, 5, 10)) {
+      val got = Trainer.featuresAt(spark, pcrDir, g, arch).collect().map(v => v.id -> v).toMap
+      val direct = paths.flatMap(PcrDecoder.readRecord(_, g))
+      assert(got.size == direct.size)
+      for (d <- direct) {
+        assert(got(d.id).label == d.label)
+        assert(got(d.id).features.sameElements(arch.extract(d.image)), s"${arch.name} g=$g image ${d.id}")
+      }
+    }
+  }
+
+  test("featuresAt scans only the luma plane") {
+    val plan = Trainer.featuresAt(spark, pcrDir, 5, Features.resnetLite).queryExecution.executedPlan
+    val descriptions = collect(plan) { case s: BatchScanExec => s.scan.description() }
+    assert(descriptions.size == 1 && descriptions.head.contains("columns=[id, label, width, height, y]"), descriptions)
   }
 
   test("fullres features carry more dimensions than lowpass") {
