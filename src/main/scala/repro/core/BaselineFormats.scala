@@ -60,7 +60,6 @@ object BaselineFormats {
       outDir: String,
       seed: Long = 0L,
       qualityOverride: Option[Int] = None): Seq[(String, Long)] = {
-    import spark.implicits._
     val q = qualityOverride.getOrElse(spec.quality)
     RecordWriter.writeRecords(spark, spec.numImages(sf), spec.imagesPerRecord, outDir, "tfr") { ids =>
       serializeRecord(spec.width, spec.height, q, ids.map { id =>
@@ -85,7 +84,10 @@ object BaselineFormats {
   // ------------------------------------------------------ File-per-Image
 
   /** Encode `spec` at `sf` as one sequential-JPEG file per image plus a
-    * `labels.csv`. Returns (path, bytes) pairs for the image files.
+    * `labels.csv` of `id,label` lines. Each image is a one-image record of
+    * [[RecordWriter]]: image `id` is written atomically by one task to
+    * `outDir/record-NNNNN.jpg`, NNNNN being its id. Returns (path, bytes)
+    * pairs in id order.
     */
   def writeFilePerImage(
       spark: SparkSession,
@@ -93,20 +95,10 @@ object BaselineFormats {
       sf: Double,
       outDir: String,
       seed: Long = 0L): Seq[(String, Long)] = {
-    import spark.implicits._
-    Files.createDirectories(Paths.get(outDir))
     val n = spec.numImages(sf)
-    val files = spark.range(n).as[Long]
-      .mapPartitions { ids =>
-        ids.map { id =>
-          val img = SyntheticImages.generate(spec, id, seed)
-          val payload = Codec.encodeSequential(img, spec.quality)
-          val path = Paths.get(outDir, f"img-$id%08d.jpg")
-          RecordWriter.writeAtomically(path, payload)
-          (path.toString, payload.length.toLong)
-        }
-      }
-      .collect().toSeq.sortBy(_._1)
+    val files = RecordWriter.writeRecords(spark, n, 1, outDir, "jpg") { ids =>
+      Codec.encodeSequential(SyntheticImages.generate(spec, ids.head, seed), spec.quality)
+    }((path, _, bytes) => (path, bytes.length.toLong))
     val labels = (0L until n).map(id => s"$id,${SyntheticImages.label(spec, id)}")
     RecordWriter.writeAtomically(Paths.get(outDir, "labels.csv"), labels.mkString("\n").getBytes)
     files

@@ -24,12 +24,12 @@ final case class RecordManifest(
     prefixBytes(scanGroup) - prefixBytes(0) - 4L * nImages * scanGroup
 }
 
-/** The PCR encoder (§5 "Encoding") as a Spark job.
+/** The PCR encoder (§5 "Encoding") as one [[RecordWriter]] job.
   *
-  * Each record of `spec.imagesPerRecord` contiguous ids is one task of
-  * [[RecordWriter]]: it generates the pixels, progressive-encodes them,
-  * gathers the scans into scan groups, serializes the record with its
-  * offset index and writes the file. Nothing is shuffled.
+  * Each record of `spec.imagesPerRecord` contiguous ids is one task of that
+  * RDD job: it generates the pixels, progressive-encodes them, gathers the
+  * scans into scan groups, serializes the record with its offset index and
+  * writes the file. Nothing is shuffled and no SQL runs.
   */
 object PcrEncoder {
 
@@ -42,7 +42,6 @@ object PcrEncoder {
       sf: Double,
       outDir: String,
       seed: Long = 0L): Seq[RecordManifest] = {
-    import spark.implicits._
     RecordWriter.writeRecords(spark, spec.numImages(sf), spec.imagesPerRecord, outDir, "pcr") { ids =>
       PcrRecord.serialize(spec.width, spec.height, spec.quality, ids.map { id =>
         val img = SyntheticImages.generate(spec, id, seed)

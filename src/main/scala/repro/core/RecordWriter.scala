@@ -3,16 +3,20 @@ package repro.core
 import java.nio.file.{Files, Path, Paths, StandardCopyOption}
 import java.util.UUID
 
-import org.apache.spark.sql.{Encoder, SparkSession}
+import scala.reflect.ClassTag
 
-/** The one way record files are written, shared by the PCR encoder and the
-  * TFRecord-like baseline so that Fig. 22 compares them like for like.
+import org.apache.spark.sql.SparkSession
+
+/** The one way record files are written: PCR records, the TFRecord-like
+  * baseline (so that Fig. 22 compares them like for like) and File-per-Image
+  * files, which are records of one image.
   *
   * Ids are contiguous, so record `r` holds ids `[r·ipr, min(n, (r+1)·ipr))`.
-  * A Spark job over `spark.range(0, nRecords, 1, nRecords)` runs one task
-  * per record: the task derives its ids, builds the record's bytes, writes
-  * them to `outDir/record-NNNNN.<ext>` and returns a small per-record result.
-  * Nothing is shuffled, and pixels never leave the task that generates them.
+  * An RDD job over `sparkContext.parallelize(0L until nRecords, nRecords)`
+  * runs one task per record: the task derives its ids, builds the record's
+  * bytes, writes them to `outDir/record-NNNNN.<ext>` and returns a small
+  * per-record result. The job runs no SQL and shuffles nothing, and pixels
+  * never leave the task that generates them.
   */
 object RecordWriter {
 
@@ -20,7 +24,7 @@ object RecordWriter {
     * ids → file bytes) and return `result(path, recordIndex, bytes)` for
     * each record, in record order.
     */
-  def writeRecords[R: Encoder](
+  def writeRecords[R: ClassTag](
       spark: SparkSession,
       n: Long,
       imagesPerRecord: Int,
@@ -28,10 +32,9 @@ object RecordWriter {
       ext: String)(
       serialize: Seq[Long] => Array[Byte])(
       result: (String, Long, Array[Byte]) => R): Seq[R] = {
-    import spark.implicits._
     Files.createDirectories(Paths.get(outDir))
     val nRecords = (n + imagesPerRecord - 1) / imagesPerRecord
-    spark.range(0, nRecords, 1, nRecords.toInt).as[Long]
+    spark.sparkContext.parallelize(0L until nRecords, nRecords.toInt)
       .map { rec =>
         val first = rec * imagesPerRecord
         val bytes = serialize(first until math.min(n, first + imagesPerRecord))

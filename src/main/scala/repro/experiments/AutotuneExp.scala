@@ -41,7 +41,6 @@ object AutotuneExp {
     val byScan = loadByScan(spark, pcrDir, arch, scans)
     try {
       val trainByScan = byScan.map { case (g, ds) => g -> ds.filter((v: LabeledVec) => !Trainer.isTest(v.id)) }
-      val train = trainByScan(scans.max).cache()
       val dim = Features.dim(arch, spec.width, spec.height)
       var p = SoftmaxModel.init(spec.numClasses, dim)
       val out = Seq.newBuilder[SimilarityPoint]
@@ -50,7 +49,7 @@ object AutotuneExp {
           val sims = Autotuner.similarities(trainByScan, scans, scans.max, p)
           out ++= scans.map(g => SimilarityPoint(e, g, sims(g)))
         }
-        val (grad, _, _) = Trainer.gradient(train, p)
+        val (grad, _, _) = Trainer.gradient(trainByScan(scans.max), p)
         p = SoftmaxModel.step(p, grad, lr, 1e-4)
       }
       out.result()
@@ -73,9 +72,9 @@ object AutotuneExp {
     val byScanAll = loadByScan(spark, pcrDir, arch, scans)
     try {
       val byScanTrain = byScanAll.map { case (g, ds) =>
-        g -> ds.filter((v: LabeledVec) => !Trainer.isTest(v.id)).cache()
+        g -> ds.filter((v: LabeledVec) => !Trainer.isTest(v.id))
       }
-      val test = byScanAll(scans.max).filter((v: LabeledVec) => Trainer.isTest(v.id)).cache()
+      val test = byScanAll(scans.max).filter((v: LabeledVec) => Trainer.isTest(v.id))
       val nImages = manifests.map(_.nImages.toLong).sum
       val dim = Features.dim(arch, spec.width, spec.height)
       def eSec(g: Int): Double = TrainGrid.epochSeconds(manifests, g, arch, nImages)

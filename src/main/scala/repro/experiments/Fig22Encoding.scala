@@ -22,12 +22,6 @@ final case class EncodeTimes(
 object Fig22Encoding {
   val StaticQualities: Seq[Int] = Seq(50, 75, 90, 95)
 
-  private def timed[A](work: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a = work
-    (a, (System.nanoTime() - t0) / 1e9)
-  }
-
   def measure(
       spark: SparkSession,
       spec: DatasetSpec,

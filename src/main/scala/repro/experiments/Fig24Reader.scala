@@ -25,17 +25,17 @@ object Fig24Reader {
       val results = (0 until 5).map { _ =>
         var images = 0L
         var bytes = 0L
-        val t0 = System.nanoTime()
-        var r = 0
-        while (r < reps) {
-          records.foreach { p =>
-            val (header, entries) = PcrDecoder.readRecordRaw(p, g)
-            images += entries.size
-            bytes += header.prefixLength(math.min(g, header.nScanGroups))
+        val (_, sec) = timed {
+          var r = 0
+          while (r < reps) {
+            records.foreach { p =>
+              val (header, entries) = PcrDecoder.readRecordRaw(p, g)
+              images += entries.size
+              bytes += header.prefixLength(math.min(g, header.nScanGroups))
+            }
+            r += 1
           }
-          r += 1
         }
-        val sec = (System.nanoTime() - t0) / 1e9
         (images / sec, bytes / sec / 1e6)
       }
       val best = results.maxBy(_._1)

@@ -20,12 +20,6 @@ final case class DecodeRates(
 object Table2Decode {
   val ReportedScans: Seq[Int] = Seq(1, 2, 5, 10)
 
-  private def timeSec(work: => Unit): Double = {
-    val t0 = System.nanoTime()
-    work
-    (System.nanoTime() - t0) / 1e9
-  }
-
   def measure(spec: DatasetSpec, nImages: Int, seed: Long = 0L): DecodeRates = {
     val images = (0 until nImages).map(i => SyntheticImages.generate(spec, i.toLong, seed))
     val progressive = images.map(Codec.encodeProgressive(_, spec.quality))
@@ -51,7 +45,7 @@ object Table2Decode {
     // landing between the scan rates and the baseline.
     val configs = ReportedScans.map(g => () => decodeAll(g)) :+ (() => decodeBaseline())
     val best = Array.fill(configs.size)(Double.MaxValue)
-    for (_ <- 0 until 5; (work, i) <- configs.zipWithIndex) best(i) = math.min(best(i), timeSec(work()))
+    for (_ <- 0 until 5; (work, i) <- configs.zipWithIndex) best(i) = math.min(best(i), timed(work())._2)
     val rates = ReportedScans.zip(best).map { case (g, sec) => g -> nImages / sec }.toMap
     DecodeRates(spec.name, nImages, rates, nImages / best.last)
   }

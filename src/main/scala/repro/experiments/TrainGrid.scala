@@ -62,8 +62,8 @@ object TrainGrid {
     scans.map { g =>
       val ds = Trainer.featuresAt(spark, pcrDir, g, arch, task.labelMap).cache()
       try {
-        val train = ds.filter((v: LabeledVec) => !Trainer.isTest(v.id)).cache()
-        val test = ds.filter((v: LabeledVec) => Trainer.isTest(v.id)).cache()
+        val train = ds.filter((v: LabeledVec) => !Trainer.isTest(v.id))
+        val test = ds.filter((v: LabeledVec) => Trainer.isTest(v.id))
         val (p, _) = Trainer.train(train, SoftmaxModel.init(task.numClasses, dim),
           epochs, lr, scanGroup = g)
         val acc = Trainer.accuracy(test, p)

@@ -2,19 +2,24 @@ package repro.core
 
 import java.nio.file.{Files, Path, Paths}
 import java.util.UUID
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
 
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.Assertions
 
 import repro.{SparkSpec, TempDirs}
 import repro.imaging.SyntheticImages
+import repro.jpeg.Codec
 
 /** The shared record writer: atomic record files, and one shuffle-free task
-  * per record for both the PCR and the TFRecord-like writer.
+  * per record, with no SQL execution, for the PCR, TFRecord-like and
+  * File-per-Image writers.
   */
 class RecordWriterSpec extends SparkSpec {
 
@@ -72,6 +77,60 @@ class RecordWriterSpec extends SparkSpec {
     assert(taskStats { tfr = BaselineFormats.writeTfRecordLike(spark, spec, sf, tfrDir) } == ((2, 0L)))
     assert(pcr.map(_.nImages) == Seq(64, 16))
     assert(tfr.map(t => Paths.get(t._1).getFileName.toString) == Seq("record-00000.tfr", "record-00001.tfr"))
+  }
+
+  test("File-per-Image runs one task per image, shuffles nothing and returns files in id order") {
+    val spec = SyntheticImages.cars
+    val sf = 0.05 // 40 images
+    val n = spec.numImages(sf)
+    val dir = TempDirs.create("writer-fpi").toString
+    var files = Seq.empty[(String, Long)]
+    assert(taskStats { files = BaselineFormats.writeFilePerImage(spark, spec, sf, dir) } == ((n, 0L)))
+    assert(files.map(f => Paths.get(f._1).getFileName.toString) == (0 until n).map(id => f"record-$id%05d.jpg"))
+    for (((path, len), id) <- files.zipWithIndex) {
+      val expected = Codec.encodeSequential(SyntheticImages.generate(spec, id.toLong), spec.quality)
+      assert(len == expected.length && Files.readAllBytes(Paths.get(path)).sameElements(expected), s"image $id")
+    }
+  }
+
+  /** Function names of the SQL executions `work` runs, as a
+    * `QueryExecutionListener` sees them. Listener events arrive in order, so
+    * a tagged query run after `work` marks the end of its executions; one
+    * run before `work` drains events left over from earlier tests.
+    */
+  private def sqlExecutions(work: => Unit): Seq[String] = {
+    val seen = new LinkedBlockingQueue[(String, QueryExecution)]()
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        seen.add((funcName, qe))
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit =
+        seen.add((funcName, qe))
+    }
+    def until(tag: String): Seq[String] = {
+      spark.sql(s"SELECT '$tag'").collect()
+      val before = Seq.newBuilder[String]
+      var next = seen.poll(10, TimeUnit.SECONDS)
+      while (next != null && !next._2.logical.toString.contains(tag)) {
+        before += next._1
+        next = seen.poll(10, TimeUnit.SECONDS)
+      }
+      assert(next != null, s"the listener did not see the query tagged $tag")
+      before.result()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      until(s"before-${UUID.randomUUID()}")
+      work
+      until(s"after-${UUID.randomUUID()}")
+    } finally spark.listenerManager.unregister(listener)
+  }
+
+  test("the writers run no SQL execution") {
+    val spec = SyntheticImages.cars
+    val sf = 0.02
+    assert(sqlExecutions(PcrEncoder.encodeDataset(spark, spec, sf, TempDirs.create("sql-pcr").toString)).isEmpty)
+    assert(sqlExecutions(BaselineFormats.writeTfRecordLike(spark, spec, sf, TempDirs.create("sql-tfr").toString)).isEmpty)
+    assert(sqlExecutions(BaselineFormats.writeFilePerImage(spark, spec, sf, TempDirs.create("sql-fpi").toString)).isEmpty)
   }
 }
 
