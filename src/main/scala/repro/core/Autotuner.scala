@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.Dataset
+import org.apache.spark.rdd.RDD
 
 import repro.train.{GradientSimilarity, LabeledVec, SoftmaxModel, SoftmaxParams, Trainer}
 
@@ -42,7 +42,7 @@ object Autotuner {
     * data. The reference scan scores 1 without a second gradient.
     */
   def similarities(
-      byScan: Map[Int, Dataset[LabeledVec]],
+      byScan: Map[Int, RDD[LabeledVec]],
       scans: Seq[Int],
       reference: Int,
       params: SoftmaxParams): Map[Int, Double] = {
@@ -72,7 +72,7 @@ object Autotuner {
     *                     (from the queueing model + measured scan sizes)
     */
   def train(
-      byScan: Map[Int, Dataset[LabeledVec]],
+      byScan: Map[Int, RDD[LabeledVec]],
       params0: SoftmaxParams,
       epochs: Int,
       lr: Double,

@@ -1,6 +1,7 @@
 package repro.experiments
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.SparkSession
 
 import repro.core.{AutotuneConfig, Autotuner, RecordManifest}
 import repro.imaging.DatasetSpec
@@ -23,7 +24,7 @@ object AutotuneExp {
       spark: SparkSession,
       pcrDir: String,
       arch: Features.ModelArch,
-      scans: Seq[Int]): Map[Int, Dataset[LabeledVec]] =
+      scans: Seq[Int]): Map[Int, RDD[LabeledVec]] =
     scans.map(g => g -> Trainer.featuresAt(spark, pcrDir, g, arch).cache()).toMap
 
   /** Train at the reference scan; every `measureEvery` epochs freeze the
@@ -40,7 +41,7 @@ object AutotuneExp {
       lr: Double = 2.0): Seq[SimilarityPoint] = {
     val byScan = loadByScan(spark, pcrDir, arch, scans)
     try {
-      val trainByScan = byScan.map { case (g, ds) => g -> ds.filter((v: LabeledVec) => !Trainer.isTest(v.id)) }
+      val trainByScan = byScan.map { case (g, ds) => g -> ds.filter(v => !Trainer.isTest(v.id)) }
       val dim = Features.dim(arch, spec.width, spec.height)
       var p = SoftmaxModel.init(spec.numClasses, dim)
       val out = Seq.newBuilder[SimilarityPoint]
@@ -72,9 +73,9 @@ object AutotuneExp {
     val byScanAll = loadByScan(spark, pcrDir, arch, scans)
     try {
       val byScanTrain = byScanAll.map { case (g, ds) =>
-        g -> ds.filter((v: LabeledVec) => !Trainer.isTest(v.id))
+        g -> ds.filter(v => !Trainer.isTest(v.id))
       }
-      val test = byScanAll(scans.max).filter((v: LabeledVec) => Trainer.isTest(v.id))
+      val test = byScanAll(scans.max).filter(v => Trainer.isTest(v.id))
       val nImages = manifests.map(_.nImages.toLong).sum
       val dim = Features.dim(arch, spec.width, spec.height)
       def eSec(g: Int): Double = TrainGrid.epochSeconds(manifests, g, arch, nImages)

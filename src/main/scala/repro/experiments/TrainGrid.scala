@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.RecordManifest
 import repro.imaging.DatasetSpec
 import repro.pipeline.QueueModel
-import repro.train.{Features, LabeledVec, SoftmaxModel, Trainer}
+import repro.train.{Features, SoftmaxModel, Trainer}
 
 /** Figures 7/10/11/12 and §6.2–6.3: time-to-accuracy at each scan group.
   *
@@ -62,8 +62,8 @@ object TrainGrid {
     scans.map { g =>
       val ds = Trainer.featuresAt(spark, pcrDir, g, arch, task.labelMap).cache()
       try {
-        val train = ds.filter((v: LabeledVec) => !Trainer.isTest(v.id))
-        val test = ds.filter((v: LabeledVec) => Trainer.isTest(v.id))
+        val train = ds.filter(v => !Trainer.isTest(v.id))
+        val test = ds.filter(v => Trainer.isTest(v.id))
         val (p, _) = Trainer.train(train, SoftmaxModel.init(task.numClasses, dim),
           epochs, lr, scanGroup = g)
         val acc = Trainer.accuracy(test, p)

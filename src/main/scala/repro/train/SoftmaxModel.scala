@@ -8,7 +8,7 @@ package repro.train
   * trains deterministically.
   *
   * Parameters are a flat array `[W (nClasses × dim) | b (nClasses)]` so
-  * gradient accumulation is a single array-add inside `treeAggregate`.
+  * merging two partition partials of a gradient is a single array-add.
   */
 final case class SoftmaxParams(nClasses: Int, dim: Int, theta: Array[Double]) {
   require(theta.length == nClasses * dim + nClasses, "parameter size mismatch")

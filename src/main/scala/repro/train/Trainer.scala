@@ -1,30 +1,39 @@
 package repro.train
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import scala.reflect.ClassTag
+
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Full-batch gradient training driven by Spark.
   *
-  * Gradients are exact (no minibatch noise), computed with one
-  * `treeAggregate` pass per step — the distributed-reduction structure of
-  * data-parallel SGD, which is all the paper's measurements depend on.
+  * An epoch is one RDD job over the `pcr` scan's InternalRows. Gradients
+  * are exact (no minibatch noise) and summed in partition order, so the
+  * same data and parameters give the same gradient bit for bit.
   */
 object Trainer {
 
-  /** Decode the luma plane of each DSv2 `pcr` row into a [[LabeledVec]]
-    * via `arch`'s feature extractor; `labelMap` remaps labels for coarse
-    * tasks. The scan selects `y` only, so no chroma is decoded.
+  /** The `pcr` select an epoch reads: id, label, size and the luma plane
+    * at `scanGroup`, so no chroma is decoded.
+    */
+  def lumaScan(spark: SparkSession, pcrDir: String, scanGroup: Int): DataFrame =
+    spark.read.format("pcr").option("scanGroup", scanGroup).load(pcrDir)
+      .select("id", "label", "width", "height", "y")
+
+  /** Each row of [[lumaScan]] as a [[LabeledVec]] via `arch`'s feature
+    * extractor; `labelMap` remaps labels for coarse tasks. Rows are read
+    * straight off the scan's InternalRows, with no encoder in between.
     */
   def featuresAt(
       spark: SparkSession,
       pcrDir: String,
       scanGroup: Int,
       arch: Features.ModelArch,
-      labelMap: Int => Int = identity): Dataset[LabeledVec] = {
-    import spark.implicits._
-    spark.read.format("pcr").option("scanGroup", scanGroup).load(pcrDir)
-      .select("id", "label", "width", "height", "y")
-      .as[(Long, Int, Int, Int, Array[Byte])]
-      .map { case (id, label, w, h, y) => LabeledVec(id, labelMap(label), arch.luma(w, h, unsigned(y))) }
+      labelMap: Int => Int = identity): RDD[LabeledVec] = {
+    val luma = arch.luma
+    lumaScan(spark, pcrDir, scanGroup).queryExecution.toRdd.map { r =>
+      LabeledVec(r.getLong(0), labelMap(r.getInt(1)), luma(r.getInt(2), r.getInt(3), unsigned(r.getBinary(4))))
+    }
   }
 
   /** A plane of unsigned bytes as the pixel values 0–255. */
@@ -38,20 +47,26 @@ object Trainer {
   /** Deterministic 80/20 split on image id. */
   def isTest(id: Long): Boolean = id % 5 == 4
 
-  /** Mean gradient, mean loss and count over `ds` at frozen `params`. */
-  def gradient(ds: Dataset[LabeledVec], params: SoftmaxParams): (Array[Double], Double, Long) = {
+  /** Folds each partition of `data` into one partial with `add`, starting
+    * from `zero()`, then merges the partials with `merge` in partition
+    * order. Unlike `treeAggregate`, whose last fold takes partials in the
+    * order tasks finish, the result does not depend on task timing.
+    */
+  private def foldInOrder[A: ClassTag](data: RDD[LabeledVec])(zero: () => A)(
+      add: (A, LabeledVec) => A)(merge: (A, A) => A): A =
+    data.mapPartitions(it => Iterator.single(it.foldLeft(zero())(add)))
+      .collect().foldLeft(zero())(merge)
+
+  /** Mean gradient, mean loss and count over `data` at frozen `params`. */
+  def gradient(data: RDD[LabeledVec], params: SoftmaxParams): (Array[Double], Double, Long) = {
     val size = params.theta.length
-    val (gradSum, lossSum, n) = ds.rdd.treeAggregate(
-      (new Array[Double](size), 0.0, 0L))(
-      seqOp = { case ((g, l, c), v) =>
-        val loss = SoftmaxModel.accumulate(params, v.features, v.label, g)
-        (g, l + loss, c + 1)
-      },
-      combOp = { case ((g1, l1, c1), (g2, l2, c2)) =>
-        var i = 0
-        while (i < g1.length) { g1(i) += g2(i); i += 1 }
-        (g1, l1 + l2, c1 + c2)
-      })
+    val (gradSum, lossSum, n) = foldInOrder(data)(() => (new Array[Double](size), 0.0, 0L)) {
+      case ((g, l, c), v) => (g, l + SoftmaxModel.accumulate(params, v.features, v.label, g), c + 1)
+    } { case ((g1, l1, c1), (g2, l2, c2)) =>
+      var i = 0
+      while (i < g1.length) { g1(i) += g2(i); i += 1 }
+      (g1, l1 + l2, c1 + c2)
+    }
     require(n > 0, "empty training set")
     var i = 0
     while (i < gradSum.length) { gradSum(i) /= n; i += 1 }
@@ -59,12 +74,10 @@ object Trainer {
   }
 
   /** Fraction of examples classified correctly at `params`. */
-  def accuracy(ds: Dataset[LabeledVec], params: SoftmaxParams): Double = {
-    val (correct, n) = ds.rdd.treeAggregate((0L, 0L))(
-      seqOp = { case ((ok, c), v) =>
-        (ok + (if (SoftmaxModel.predict(params, v.features) == v.label) 1L else 0L), c + 1)
-      },
-      combOp = { case ((a1, c1), (a2, c2)) => (a1 + a2, c1 + c2) })
+  def accuracy(data: RDD[LabeledVec], params: SoftmaxParams): Double = {
+    val (correct, n) = foldInOrder(data)(() => (0L, 0L)) { case ((ok, c), v) =>
+      (ok + (if (SoftmaxModel.predict(params, v.features) == v.label) 1L else 0L), c + 1)
+    } { case ((a1, c1), (a2, c2)) => (a1 + a2, c1 + c2) }
     require(n > 0, "empty evaluation set")
     correct.toDouble / n
   }
@@ -74,7 +87,7 @@ object Trainer {
 
   /** Train `epochs` full-batch steps at fixed data fidelity. */
   def train(
-      ds: Dataset[LabeledVec],
+      data: RDD[LabeledVec],
       params0: SoftmaxParams,
       epochs: Int,
       lr: Double,
@@ -84,7 +97,7 @@ object Trainer {
     val stats = Vector.newBuilder[EpochStat]
     var e = 0
     while (e < epochs) {
-      val (g, loss, _) = gradient(ds, p)
+      val (g, loss, _) = gradient(data, p)
       p = SoftmaxModel.step(p, g, lr, l2)
       stats += EpochStat(e, loss, scanGroup)
       e += 1

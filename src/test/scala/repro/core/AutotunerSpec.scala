@@ -80,5 +80,6 @@ class AutotunerSpec extends SparkSpec {
     // Loss still decreases across the run.
     assert(stats.last.loss < stats.head.loss)
     assert(p.theta.exists(_ != 0.0))
+    byScan.values.foreach(_.unpersist())
   }
 }

@@ -16,7 +16,6 @@ class TrainerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   private def toyData(n: Int, dim: Int, seed: Long) = {
-    import spark.implicits._
     val rng = new Rng(seed)
     val rows = (0 until n).map { i =>
       val label = i % 2
@@ -24,7 +23,7 @@ class TrainerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
         rng.nextGaussian() + (if (j == 0) (if (label == 0) -2.0 else 2.0) else 0.0))
       LabeledVec(i.toLong, label, x)
     }
-    spark.createDataset(rows)
+    spark.sparkContext.parallelize(rows)
   }
 
   test("spark gradient equals a local computation") {
@@ -48,6 +47,7 @@ class TrainerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(stats.head.loss > stats.last.loss)
     stats.sliding(2).foreach { case Seq(a, b) => assert(b.loss <= a.loss + 1e-9) }
     assert(Trainer.accuracy(ds, p) > 0.9)
+    ds.unpersist()
   }
 
   test("featuresAt reads PCR data into labeled feature vectors") {
@@ -76,14 +76,32 @@ class TrainerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("featuresAt scans only the luma plane") {
-    val plan = Trainer.featuresAt(spark, pcrDir, 5, Features.resnetLite).queryExecution.executedPlan
+    val plan = Trainer.lumaScan(spark, pcrDir, 5).queryExecution.executedPlan
     val descriptions = collect(plan) { case s: BatchScanExec => s.scan.description() }
     assert(descriptions.size == 1 && descriptions.head.contains("columns=[id, label, width, height, y]"), descriptions)
   }
 
+  test("repeated epochs over the same data give a bit-identical gradient") {
+    val data = Trainer.featuresAt(spark, pcrDir, 5, Features.resnetLite)
+    assert(data.getNumPartitions > 1, "one partition has only one summation order")
+    val rng = new Rng(4)
+    val dim = Features.dim(Features.resnetLite, 64, 64)
+    val p = SoftmaxParams(2, dim, Array.fill(2 * dim + 2)(rng.nextGaussian() * 0.01))
+    def bits(g: Array[Double]) = g.map(java.lang.Double.doubleToRawLongBits).toSeq
+    val (gUncached, lossUncached, _) = Trainer.gradient(data, p)
+    data.cache()
+    try {
+      for (_ <- 0 until 3) {
+        val (g, loss, _) = Trainer.gradient(data, p)
+        assert(bits(g) == bits(gUncached))
+        assert(loss == lossUncached)
+      }
+    } finally data.unpersist()
+  }
+
   test("fullres features carry more dimensions than lowpass") {
-    val lo = Trainer.featuresAt(spark, pcrDir, 10, Features.resnetLite).head()
-    val hi = Trainer.featuresAt(spark, pcrDir, 10, Features.shufflenetLite).head()
+    val lo = Trainer.featuresAt(spark, pcrDir, 10, Features.resnetLite).first()
+    val hi = Trainer.featuresAt(spark, pcrDir, 10, Features.shufflenetLite).first()
     assert(hi.features.length == 16 * lo.features.length)
   }
 
@@ -100,6 +118,7 @@ class TrainerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val (p, _) = Trainer.train(train, SoftmaxModel.init(2, dim), epochs = 40, lr = 2.0)
     val acc = Trainer.accuracy(test, p)
     assert(acc > 0.75, s"test accuracy $acc")
+    ds.unpersist()
   }
 
   test("the id-based split is deterministic and ~20% test") {
