@@ -17,7 +17,6 @@ import org.apache.spark.sql.connector.expressions.filter.Predicate
 import org.apache.spark.sql.connector.metric.{CustomMetric, CustomSumMetric, CustomTaskMetric}
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.execution.datasources.FilePartition
-import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.sources.DataSourceRegister
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
@@ -98,8 +97,7 @@ class PcrTable(tablePath: Option[String]) extends Table with SupportsRead {
     val dir = Option(options.get("path")).orElse(tablePath).getOrElse(
       throw new IllegalArgumentException("pcr source requires a path"))
     val scanGroup = Option(options.get("scanGroup")).map(_.toInt).getOrElse(Int.MaxValue)
-    require(scanGroup >= 1, s"scanGroup must be >= 1, got $scanGroup")
-    new PcrScanBuilder(dir, scanGroup)
+    new PcrScanBuilder(dir, PcrScan.checkScanGroup(scanGroup))
   }
 }
 
@@ -236,18 +234,36 @@ class PcrScan(
   override def supportedCustomMetrics(): Array[CustomMetric] =
     Array(new ImagesDecodedMetric, new RecordBytesReadMetric)
 
-  /** Spark's file-source split planning (`FilePartition`): each record
-    * weighs its file length plus `spark.sql.files.openCostInBytes`, and
-    * the records, in `listRecords` order, fill one partition until the next
-    * would take it past `FilePartition.maxSplitBytes` of their total
-    * weight. Unlike Spark it does not sort by size, so rows keep record
-    * order.
+  override def planInputPartitions(): Array[InputPartition] =
+    PcrScan.packRecords(SparkSession.active, dir).map(PcrInputPartition(_, scanGroup): InputPartition).toArray
+
+  override def createReaderFactory(): PartitionReaderFactory = new PcrReaderFactory(
+    columns.fieldNames.map(PcrTable.schema.fieldIndex),
+    pushed.map(_._2).reduceOption(ImageFilter.and))
+}
+
+object PcrScan {
+
+  /** `scanGroup` when it is at least 1; below that a prefix read would
+    * decode no scan and give flat planes, so it is rejected.
     */
-  override def planInputPartitions(): Array[InputPartition] = {
+  def checkScanGroup(scanGroup: Int): Int = {
+    require(scanGroup >= 1, s"scanGroup must be >= 1, got $scanGroup")
+    scanGroup
+  }
+
+  /** The record files of `dir` in runs, one run per task, by Spark's
+    * file-source split planning (`FilePartition`): each record weighs its
+    * file length plus `spark.sql.files.openCostInBytes`, and the records,
+    * in `listRecords` order, fill one run until the next would take it past
+    * `FilePartition.maxSplitBytes` of their total weight. Unlike Spark it
+    * does not sort by size, so rows keep record order.
+    */
+  def packRecords(spark: SparkSession, dir: String): Seq[Seq[String]] = {
     val paths = PcrEncoder.listRecords(dir)
     val lengths = paths.map(p => Files.size(Paths.get(p)))
-    val open = SQLConf.get.filesOpenCostInBytes
-    val maxSplit = FilePartition.maxSplitBytes(SparkSession.active, lengths.map(_ + open).sum)
+    val open = spark.sessionState.conf.filesOpenCostInBytes
+    val maxSplit = FilePartition.maxSplitBytes(spark, lengths.map(_ + open).sum)
     val runs = mutable.ArrayBuffer.empty[Seq[String]]
     val run = mutable.ArrayBuffer.empty[String]
     var current = 0L
@@ -257,12 +273,8 @@ class PcrScan(
       current += length + open
     }
     if (run.nonEmpty) runs += run.toSeq
-    runs.map(PcrInputPartition(_, scanGroup): InputPartition).toArray
+    runs.toSeq
   }
-
-  override def createReaderFactory(): PartitionReaderFactory = new PcrReaderFactory(
-    columns.fieldNames.map(PcrTable.schema.fieldIndex),
-    pushed.map(_._2).reduceOption(ImageFilter.and))
 }
 
 /** The record files one task reads, in order. */

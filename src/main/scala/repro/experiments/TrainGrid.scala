@@ -10,10 +10,11 @@ import repro.train.{Features, SoftmaxModel, Trainer}
 /** Figures 7/10/11/12 and §6.2–6.3: time-to-accuracy at each scan group.
   *
   * Accuracy comes from really training the surrogate model on really
-  * decoded scan-g pixels (through the DSv2 reader); wall time per epoch
-  * comes from the queueing model fed with the measured scan-prefix sizes
-  * and the Fig-5 cluster parameters, exactly as the paper separates
-  * statistical efficiency (epochs) from hardware efficiency (epoch time).
+  * decoded scan-g luma (`Trainer.featuresAt`, which reads the records
+  * with `PcrDecoder.read`); wall time per epoch comes from the queueing
+  * model fed with the measured scan-prefix sizes and the Fig-5 cluster
+  * parameters, exactly as the paper separates statistical efficiency
+  * (epochs) from hardware efficiency (epoch time).
   */
 final case class TrainPoint(
     dataset: String,

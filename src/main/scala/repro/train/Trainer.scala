@@ -3,26 +3,26 @@ package repro.train
 import scala.reflect.ClassTag
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
+
+import repro.core.PcrDecoder
+import repro.core.datasource.PcrScan
 
 /** Full-batch gradient training driven by Spark.
   *
-  * An epoch is one RDD job over the `pcr` scan's InternalRows. Gradients
-  * are exact (no minibatch noise) and summed in partition order, so the
-  * same data and parameters give the same gradient bit for bit.
+  * An epoch is one RDD job: each task reads a run of record files through
+  * [[PcrDecoder.read]], decoding luma only, and no Spark SQL query is
+  * planned. Gradients are exact (no minibatch noise) and summed in
+  * partition order, so the same data and parameters give the same gradient
+  * bit for bit.
   */
 object Trainer {
 
-  /** The `pcr` select an epoch reads: id, label, size and the luma plane
-    * at `scanGroup`, so no chroma is decoded.
-    */
-  def lumaScan(spark: SparkSession, pcrDir: String, scanGroup: Int): DataFrame =
-    spark.read.format("pcr").option("scanGroup", scanGroup).load(pcrDir)
-      .select("id", "label", "width", "height", "y")
-
-  /** Each row of [[lumaScan]] as a [[LabeledVec]] via `arch`'s feature
-    * extractor; `labelMap` remaps labels for coarse tasks. Rows are read
-    * straight off the scan's InternalRows, with no encoder in between.
+  /** Every image of the PCR directory `pcrDir` at `scanGroup` as a
+    * [[LabeledVec]] via `arch`'s feature extractor; `labelMap` remaps
+    * labels for coarse tasks. The records are split into runs the way the
+    * `pcr` scan packs its partitions, one task per run, and each task
+    * builds its vectors straight from the decoded luma planes.
     */
   def featuresAt(
       spark: SparkSession,
@@ -30,18 +30,15 @@ object Trainer {
       scanGroup: Int,
       arch: Features.ModelArch,
       labelMap: Int => Int = identity): RDD[LabeledVec] = {
+    val g = PcrScan.checkScanGroup(scanGroup)
+    val runs = PcrScan.packRecords(spark, pcrDir)
     val luma = arch.luma
-    lumaScan(spark, pcrDir, scanGroup).queryExecution.toRdd.map { r =>
-      LabeledVec(r.getLong(0), labelMap(r.getInt(1)), luma(r.getInt(2), r.getInt(3), unsigned(r.getBinary(4))))
-    }
-  }
-
-  /** A plane of unsigned bytes as the pixel values 0–255. */
-  private def unsigned(a: Array[Byte]): Array[Int] = {
-    val out = new Array[Int](a.length)
-    var i = 0
-    while (i < a.length) { out(i) = a(i) & 0xff; i += 1 }
-    out
+    if (runs.isEmpty) spark.sparkContext.emptyRDD[LabeledVec]
+    else spark.sparkContext.parallelize(runs, runs.size).flatMap(_.iterator.flatMap { path =>
+      val r = PcrDecoder.read(path, g, Seq(0))
+      val h = r.header
+      r.images.indices.iterator.map(k => LabeledVec(h.ids(k), labelMap(h.labels(k)), luma(h.width, h.height, r.images(k).y)))
+    })
   }
 
   /** Deterministic 80/20 split on image id. */

@@ -93,41 +93,10 @@ class RecordWriterSpec extends SparkSpec {
     }
   }
 
-  /** Function names of the SQL executions `work` runs, as a
-    * `QueryExecutionListener` sees them. Listener events arrive in order, so
-    * a tagged query run after `work` marks the end of its executions; one
-    * run before `work` drains events left over from earlier tests.
-    */
-  private def sqlExecutions(work: => Unit): Seq[String] = {
-    val seen = new LinkedBlockingQueue[(String, QueryExecution)]()
-    val listener = new QueryExecutionListener {
-      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
-        seen.add((funcName, qe))
-      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit =
-        seen.add((funcName, qe))
-    }
-    def until(tag: String): Seq[String] = {
-      spark.sql(s"SELECT '$tag'").collect()
-      val before = Seq.newBuilder[String]
-      var next = seen.poll(10, TimeUnit.SECONDS)
-      while (next != null && !next._2.logical.toString.contains(tag)) {
-        before += next._1
-        next = seen.poll(10, TimeUnit.SECONDS)
-      }
-      assert(next != null, s"the listener did not see the query tagged $tag")
-      before.result()
-    }
-    spark.listenerManager.register(listener)
-    try {
-      until(s"before-${UUID.randomUUID()}")
-      work
-      until(s"after-${UUID.randomUUID()}")
-    } finally spark.listenerManager.unregister(listener)
-  }
-
   test("the writers run no SQL execution") {
     val spec = SyntheticImages.cars
     val sf = 0.02
+    def sqlExecutions(work: => Unit) = SqlExecutions.observe(spark)(work)
     assert(sqlExecutions(PcrEncoder.encodeDataset(spark, spec, sf, TempDirs.create("sql-pcr").toString)).isEmpty)
     assert(sqlExecutions(BaselineFormats.writeTfRecordLike(spark, spec, sf, TempDirs.create("sql-tfr").toString)).isEmpty)
     assert(sqlExecutions(BaselineFormats.writeFilePerImage(spark, spec, sf, TempDirs.create("sql-fpi").toString)).isEmpty)
@@ -180,5 +149,39 @@ object GroupTaskListener {
       Assertions.assert(listener.settled, s"listener did not see the $purpose jobs end")
       listener
     } finally sc.removeSparkListener(listener)
+  }
+}
+
+object SqlExecutions {
+  /** Function names of the SQL executions `work` runs, as a
+    * `QueryExecutionListener` sees them. Listener events arrive in order, so
+    * a tagged query run after `work` marks the end of its executions; one
+    * run before `work` drains events left over from earlier tests.
+    */
+  def observe(spark: SparkSession)(work: => Unit): Seq[String] = {
+    val seen = new LinkedBlockingQueue[(String, QueryExecution)]()
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        seen.add((funcName, qe))
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit =
+        seen.add((funcName, qe))
+    }
+    def until(tag: String): Seq[String] = {
+      spark.sql(s"SELECT '$tag'").collect()
+      val before = Seq.newBuilder[String]
+      var next = seen.poll(10, TimeUnit.SECONDS)
+      while (next != null && !next._2.logical.toString.contains(tag)) {
+        before += next._1
+        next = seen.poll(10, TimeUnit.SECONDS)
+      }
+      Assertions.assert(next != null, s"the listener did not see the query tagged $tag")
+      before.result()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      until(s"before-${UUID.randomUUID()}")
+      work
+      until(s"after-${UUID.randomUUID()}")
+    } finally spark.listenerManager.unregister(listener)
   }
 }

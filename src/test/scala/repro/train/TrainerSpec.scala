@@ -1,13 +1,13 @@
 package repro.train
 
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
-import org.apache.spark.sql.execution.datasources.v2.BatchScanExec
+import java.nio.file.{Files, Paths}
 
 import repro.{SparkSpec, TempDirs}
-import repro.core.{PcrDecoder, PcrEncoder}
+import repro.core.{GroupTaskListener, PcrDecoder, PcrEncoder, SqlExecutions}
+import repro.core.datasource.PcrScan
 import repro.imaging.{Rng, SyntheticImages}
 
-class TrainerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
+class TrainerSpec extends SparkSpec {
 
   private lazy val pcrDir = {
     val d = TempDirs.create("pcr-train").toString
@@ -76,9 +76,55 @@ class TrainerSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("featuresAt scans only the luma plane") {
-    val plan = Trainer.lumaScan(spark, pcrDir, 5).queryExecution.executedPlan
-    val descriptions = collect(plan) { case s: BatchScanExec => s.scan.description() }
-    assert(descriptions.size == 1 && descriptions.head.contains("columns=[id, label, width, height, y]"), descriptions)
+    val first = PcrEncoder.listRecords(pcrDir).head
+    val header = PcrDecoder.readHeader(first)
+    // Scan group 3 holds every image's Cb AC scan: keep its length table, overwrite its scans.
+    val bytes = Files.readAllBytes(Paths.get(first))
+    java.util.Arrays.fill(bytes, (header.groupEndOffsets(2) + 4L * header.nImages).toInt,
+      header.groupEndOffsets(3).toInt, 0xff.toByte)
+    val dir = TempDirs.create("train-cb-overwritten")
+    val copy = Files.write(dir.resolve(Paths.get(first).getFileName), bytes).toString
+    val intact = PcrDecoder.readRecord(first, 10)
+    for (arch <- Seq(Features.resnetLite, Features.shufflenetLite)) {
+      val got = Trainer.featuresAt(spark, dir.toString, 10, arch).collect()
+      assert(got.map(v => (v.id, v.label)).toSeq == intact.map(d => (d.id, d.label)))
+      for ((v, d) <- got.zip(intact))
+        assert(v.features.sameElements(arch.extract(d.image)), s"${arch.name} image ${d.id}")
+    }
+    intercept[IllegalArgumentException](PcrDecoder.readRecord(copy, 10))
+  }
+
+  test("featuresAt rejects a scan group below 1 when called") {
+    val e = intercept[IllegalArgumentException](Trainer.featuresAt(spark, pcrDir, 0, Features.resnetLite))
+    assert(e.getMessage.contains("scanGroup must be >= 1"), e)
+  }
+
+  test("featuresAt of an empty directory is an empty RDD, and its gradient has no training set") {
+    val data = Trainer.featuresAt(spark, TempDirs.create("train-empty").toString, 5, Features.resnetLite)
+    assert(data.getNumPartitions == 0 && data.isEmpty())
+    val dim = Features.dim(Features.resnetLite, 64, 64)
+    val e = intercept[IllegalArgumentException](Trainer.gradient(data, SoftmaxModel.init(2, dim)))
+    assert(e.getMessage.contains("empty training set"), e)
+  }
+
+  test("featuresAt of a missing directory throws") {
+    val missing = TempDirs.create("train-missing").resolve("absent").toString
+    assertThrows[IllegalArgumentException](Trainer.featuresAt(spark, missing, 5, Features.resnetLite))
+  }
+
+  test("featuresAt and gradient start no SQL execution and run one task per planned partition") {
+    val runs = PcrScan.packRecords(spark, pcrDir)
+    assert(runs.size > 1, runs)
+    val dim = Features.dim(Features.resnetLite, 64, 64)
+    var n = 0L
+    val sql = SqlExecutions.observe(spark) {
+      val epoch = GroupTaskListener.observe(spark, "trainer-epoch") {
+        n = Trainer.gradient(Trainer.featuresAt(spark, pcrDir, 5, Features.resnetLite), SoftmaxModel.init(2, dim))._3
+      }
+      assert(epoch.jobCount == 1 && epoch.stats == ((runs.size, 0L)), (epoch.jobCount, epoch.stats))
+    }
+    assert(sql.isEmpty, sql)
+    assert(n == SyntheticImages.celebahq.numImages(0.05))
   }
 
   test("repeated epochs over the same data give a bit-identical gradient") {
