@@ -16,15 +16,14 @@ final case class DecodedImage(
     bytesRead: Double,
     image: PlanarImage)
 
-/** One [[PcrDecoder.read]] of a record: the indices of the selected images,
-  * their decoded images (parallel to `selected`, empty when no component
-  * was decoded; a component not decoded is flat 128) and the bytes
-  * fetched from the file.
+/** One [[PcrDecoder.read]] of a record: its header, its decoded images
+  * (in header order, parallel to `header.ids` and `header.labels`; empty
+  * when no component was decoded; a component not decoded is flat 128) and
+  * the bytes fetched from the file.
   */
 final case class RecordRead(
     header: PcrHeader,
     scanGroup: Int,
-    selected: Array[Int],
     images: Array[PlanarImage],
     bytesFetched: Long) {
 
@@ -47,13 +46,11 @@ object PcrDecoder {
   private def openRecord(raf: RandomAccessFile, path: String): (PcrHeader, Array[Byte]) = {
     val fixed = new Array[Byte](PcrRecord.FixedHeaderLength)
     raf.readFully(fixed)
-    val bb = java.nio.ByteBuffer.wrap(fixed)
-    require(bb.getInt() == PcrRecord.Magic, s"$path is not a PCR record")
-    val headerLen = PcrRecord.headerLength(bb.getInt(), bb.getInt())
+    val headerLen = PcrRecord.parseFixedHeader(java.nio.ByteBuffer.wrap(fixed), path).headerLength
     require(headerLen <= raf.length(), s"$path: header of $headerLen bytes exceeds the file")
     val hdr = java.util.Arrays.copyOf(fixed, headerLen.toInt)
     raf.readFully(hdr, fixed.length, hdr.length - fixed.length)
-    (PcrRecord.parseHeader(hdr), hdr)
+    (PcrRecord.parseHeader(hdr, path), hdr)
   }
 
   private def withFile[A](path: String)(body: RandomAccessFile => A): A = {
@@ -100,29 +97,23 @@ object PcrDecoder {
     PcrRecord.parsePrefix(header, bytes, g)
   }
 
-  /** The one read of a record: open `path` once, read its header and
-    * select the images whose `(id, label)` pass `keep` (all without it).
-    * Only when `components` is non-empty and some image is selected does
-    * it read the rest of the prefix for `scanGroup` (capped to the
-    * record's group count) through the same file and decode those
-    * components (0 = y, 1 = cb, 2 = cr) of the selected images.
+  /** The one read of a record: open `path` once and read its header. When
+    * `components` is empty that is all; otherwise it reads the rest of the
+    * prefix for `scanGroup` (capped to the record's group count) through
+    * the same file and decodes those components (0 = y, 1 = cb, 2 = cr) of
+    * every image.
     */
-  def read(
-      path: String,
-      scanGroup: Int,
-      components: Seq[Int] = Codec.AllComponents,
-      keep: Option[(Long, Int) => Boolean] = None): RecordRead = withFile(path) { raf =>
-    val (header, hdr) = openRecord(raf, path)
-    val g = math.min(scanGroup, header.nScanGroups)
-    val selected = header.ids.indices.filter(k => keep.forall(_(header.ids(k), header.labels(k)))).toArray
-    if (components.isEmpty || selected.isEmpty) RecordRead(header, g, selected, Array.empty, hdr.length)
-    else {
-      val entries = readPrefix(raf, path, header, hdr, g)
-      val images = selected.map(k =>
-        Codec.decodeProgressive(entries(k).scans, header.quality, header.width, header.height, components))
-      RecordRead(header, g, selected, images, header.prefixLength(g))
+  def read(path: String, scanGroup: Int, components: Seq[Int] = Codec.AllComponents): RecordRead =
+    withFile(path) { raf =>
+      val (header, hdr) = openRecord(raf, path)
+      val g = math.min(scanGroup, header.nScanGroups)
+      if (components.isEmpty) RecordRead(header, g, Array.empty, hdr.length)
+      else {
+        val images = readPrefix(raf, path, header, hdr, g).map(e =>
+          Codec.decodeProgressive(e.scans, header.quality, header.width, header.height, components)).toArray
+        RecordRead(header, g, images, header.prefixLength(g))
+      }
     }
-  }
 
   /** Read + decode every image of a record at fidelity `scanGroup` (capped
     * to the record's group count).

@@ -95,25 +95,42 @@ object PcrRecord {
     bb.array()
   }
 
-  /** Parse a header from a byte prefix (needs at least the header bytes). */
-  def parseHeader(bytes: Array[Byte]): PcrHeader = {
-    val bb = ByteBuffer.wrap(bytes)
-    require(bb.remaining >= FixedHeaderLength, "truncated PCR header")
-    require(bb.getInt() == Magic, "not a PCR record (bad magic)")
+  /** The fields of the first [[FixedHeaderLength]] bytes of a record, and
+    * the header length they give.
+    */
+  private[core] final case class FixedHeader(
+      nImages: Int, nScanGroups: Int, width: Int, height: Int, quality: Int, headerLength: Long)
+
+  /** Decode the fixed header at `bb`'s position and validate every field
+    * before anything is allocated from it; errors name `source`.
+    */
+  private[core] def parseFixedHeader(bb: ByteBuffer, source: String): FixedHeader = {
+    require(bb.remaining >= FixedHeaderLength, s"$source: truncated PCR header")
+    require(bb.getInt() == Magic, s"$source: not a PCR record (bad magic)")
     val n = bb.getInt(); val ng = bb.getInt()
     val w = bb.getInt(); val h = bb.getInt(); val q = bb.getInt()
     val headerLen = headerLength(n, ng)
-    require(bytes.length >= headerLen, "truncated PCR header")
     require(w > 0 && h > 0 && w % 16 == 0 && h % 16 == 0 && w.toLong * h <= MaxPixels,
-      s"corrupt PCR header: image size ${w}x$h")
-    require(q >= 1 && q <= 100, s"corrupt PCR header: quality $q")
+      s"$source: corrupt PCR header: image size ${w}x$h")
+    require(q >= 1 && q <= 100, s"$source: corrupt PCR header: quality $q")
+    FixedHeader(n, ng, w, h, q, headerLen)
+  }
+
+  /** Parse a header from a byte prefix (needs at least the header bytes);
+    * errors name `source`.
+    */
+  def parseHeader(bytes: Array[Byte], source: String = "PCR bytes"): PcrHeader = {
+    val bb = ByteBuffer.wrap(bytes)
+    val f = parseFixedHeader(bb, source)
+    val n = f.nImages; val ng = f.nScanGroups; val headerLen = f.headerLength
+    require(bytes.length >= headerLen, s"$source: truncated PCR header")
     val ids = Array.fill(n)(bb.getLong())
     val labels = Array.fill(n)(bb.getInt())
     val offsets = Array.fill(ng + 1)(bb.getLong())
-    require(offsets(0) == headerLen, s"corrupt PCR header: group 0 ends at ${offsets(0)}, not $headerLen")
+    require(offsets(0) == headerLen, s"$source: corrupt PCR header: group 0 ends at ${offsets(0)}, not $headerLen")
     for (g <- 0 until ng) require(offsets(g + 1) - offsets(g) >= 4L * n,
-      s"corrupt PCR header: scan group ${g + 1} spans ${offsets(g + 1) - offsets(g)} bytes for $n images")
-    PcrHeader(n, ng, w, h, q, ids, labels, offsets)
+      s"$source: corrupt PCR header: scan group ${g + 1} spans ${offsets(g + 1) - offsets(g)} bytes for $n images")
+    PcrHeader(n, ng, f.width, f.height, f.quality, ids, labels, offsets)
   }
 
   /** Extract per-image scans 1..scanGroup from a byte prefix of at least

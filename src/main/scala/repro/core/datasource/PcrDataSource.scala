@@ -11,9 +11,8 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
-import org.apache.spark.sql.connector.expressions.{Expression, Literal, NamedReference, Transform}
+import org.apache.spark.sql.connector.expressions.{Expression, NamedReference, Transform}
 import org.apache.spark.sql.connector.expressions.aggregate.{Aggregation, Count, CountStar}
-import org.apache.spark.sql.connector.expressions.filter.Predicate
 import org.apache.spark.sql.connector.metric.{CustomMetric, CustomSumMetric, CustomTaskMetric}
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.execution.datasources.FilePartition
@@ -47,10 +46,8 @@ import repro.core.{PcrDecoder, PcrEncoder, RecordRead}
   * decoded only when it is selected: a query of `y` alone entropy-decodes
   * and reconstructs luma only, skipping the chroma scans. The bytes read
   * are the same either way, the record prefix at the requested fidelity.
-  * Predicates on `id` and `label` are evaluated against the header, so
-  * images that fail them are never decoded, and a record none of whose
-  * images pass is never prefix-read. Spark re-checks every predicate after
-  * the scan.
+  * The scan takes no predicate: Spark applies every filter, on `id` and
+  * `label` too, to the rows it emits.
   *
   * `COUNT(*)` and `COUNT(column)` of header columns, grouped by header
   * columns, are answered by the scan itself ([[PcrCountScan]]): one task
@@ -102,25 +99,14 @@ class PcrTable(tablePath: Option[String]) extends Table with SupportsRead {
 }
 
 class PcrScanBuilder(dir: String, scanGroup: Int) extends ScanBuilder
-    with SupportsPushDownRequiredColumns with SupportsPushDownV2Filters with SupportsPushDownAggregates {
+    with SupportsPushDownRequiredColumns with SupportsPushDownAggregates {
   private var required = PcrTable.schema
-  private var pushed = Array.empty[(Predicate, ImageFilter.Keep)]
   private var counted: Option[(Aggregation, Array[Int])] = None
 
   override def pruneColumns(requiredSchema: StructType): Unit = {
     val names = requiredSchema.fieldNames.toSet
     required = StructType(PcrTable.schema.filter(f => names(f.name)))
   }
-
-  /** Keeps the predicates [[ImageFilter]] can evaluate on a header and
-    * returns all of them, so Spark still applies each after the scan.
-    */
-  override def pushPredicates(predicates: Array[Predicate]): Array[Predicate] = {
-    pushed = predicates.flatMap(p => ImageFilter.compile(p).map(p -> _))
-    predicates
-  }
-
-  override def pushedPredicates(): Array[Predicate] = pushed.map(_._1)
 
   override def supportCompletePushDown(aggregation: Aggregation): Boolean =
     headerCountGroups(aggregation).isDefined
@@ -132,7 +118,7 @@ class PcrScanBuilder(dir: String, scanGroup: Int) extends ScanBuilder
 
   /** Table ordinals of the group-by columns when `aggregation` is only
     * non-distinct `COUNT(*)`/`COUNT(column)` of header columns grouped by
-    * header columns, and no predicate was pushed.
+    * header columns. Spark offers no aggregate over a filtered scan.
     */
   private def headerCountGroups(aggregation: Aggregation): Option[Array[Int]] = {
     def headerColumn(e: Expression): Option[Int] = e match {
@@ -146,12 +132,12 @@ class PcrScanBuilder(dir: String, scanGroup: Int) extends ScanBuilder
       case _ => false
     }
     val groups = aggregation.groupByExpressions().map(headerColumn)
-    if (pushed.isEmpty && counts && groups.forall(_.isDefined)) Some(groups.flatten) else None
+    if (counts && groups.forall(_.isDefined)) Some(groups.flatten) else None
   }
 
   override def build(): Scan = counted match {
     case Some((aggregation, groups)) => new PcrCountScan(dir, scanGroup, aggregation, groups)
-    case None => new PcrScan(dir, scanGroup, required, pushed)
+    case None => new PcrScan(dir, scanGroup, required)
   }
 }
 
@@ -223,13 +209,11 @@ class PcrCountReader(
 class PcrScan(
     dir: String,
     scanGroup: Int,
-    columns: StructType,
-    pushed: Array[(Predicate, ImageFilter.Keep)]) extends Scan with Batch {
+    columns: StructType) extends Scan with Batch {
   override def readSchema(): StructType = columns
   override def toBatch: Batch = this
   override def description(): String =
-    s"PcrScan(dir=$dir, scanGroup=$scanGroup, columns=[${columns.fieldNames.mkString(", ")}], " +
-      s"pushed=[${pushed.map(_._1).mkString(", ")}])"
+    s"PcrScan(dir=$dir, scanGroup=$scanGroup, columns=[${columns.fieldNames.mkString(", ")}])"
 
   override def supportedCustomMetrics(): Array[CustomMetric] =
     Array(new ImagesDecodedMetric, new RecordBytesReadMetric)
@@ -237,9 +221,8 @@ class PcrScan(
   override def planInputPartitions(): Array[InputPartition] =
     PcrScan.packRecords(SparkSession.active, dir).map(PcrInputPartition(_, scanGroup): InputPartition).toArray
 
-  override def createReaderFactory(): PartitionReaderFactory = new PcrReaderFactory(
-    columns.fieldNames.map(PcrTable.schema.fieldIndex),
-    pushed.map(_._2).reduceOption(ImageFilter.and))
+  override def createReaderFactory(): PartitionReaderFactory =
+    new PcrReaderFactory(columns.fieldNames.map(PcrTable.schema.fieldIndex))
 }
 
 object PcrScan {
@@ -284,29 +267,24 @@ object PcrInputPartition {
   def apply(path: String, scanGroup: Int): PcrInputPartition = PcrInputPartition(Seq(path), scanGroup)
 }
 
-/** `columns` are table ordinals in output order; `keep` is the conjunction
-  * of the pushed predicates, if any.
-  */
-class PcrReaderFactory(
-    columns: Array[Int] = PcrTable.AllColumns,
-    keep: Option[ImageFilter.Keep] = None) extends PartitionReaderFactory {
+/** `columns` are table ordinals in output order. */
+class PcrReaderFactory(columns: Array[Int] = PcrTable.AllColumns) extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
     val p = partition.asInstanceOf[PcrInputPartition]
-    new PcrPartitionReader(p.paths, p.scanGroup, columns, keep)
+    new PcrPartitionReader(p.paths, p.scanGroup, columns)
   }
 }
 
 /** Reads `paths` in turn, one record at a time, through [[PcrDecoder.read]]
-  * and emits one row per image that passes `keep`, holding only `columns`.
-  * Without a plane column each record's header alone is read; otherwise
-  * the selected planes of the kept images of a record are decoded when its
-  * first row is asked for. Its metrics are summed over the records read.
+  * and emits one row per image, holding only `columns`. Without a plane
+  * column each record's header alone is read; otherwise the selected
+  * planes of every image of a record are decoded when its first row is
+  * asked for. Its metrics are summed over the records read.
   */
 class PcrPartitionReader(
     paths: Seq[String],
     scanGroup: Int,
-    columns: Array[Int],
-    keep: Option[ImageFilter.Keep]) extends PartitionReader[InternalRow] {
+    columns: Array[Int]) extends PartitionReader[InternalRow] {
   /** Codec component of each selected plane column: `y` 0, `cb` 1, `cr` 2. */
   private val planes = columns.filter(_ >= PcrTable.FirstPlane).map(_ - PcrTable.FirstPlane).distinct.sorted.toSeq
   private var current: InternalRow = _
@@ -314,10 +292,10 @@ class PcrPartitionReader(
   private var fetched = 0L
 
   private val rows: Iterator[InternalRow] = paths.iterator.flatMap { path =>
-    val record = PcrDecoder.read(path, scanGroup, planes, keep)
+    val record = PcrDecoder.read(path, scanGroup, planes)
     imagesDecoded += record.images.length
     fetched += record.bytesFetched
-    record.selected.indices.iterator.map(rowOf(record, _))
+    record.header.ids.indices.iterator.map(rowOf(record, _))
   }
 
   private def planeBytes(p: Array[Int]): Array[Byte] = {
@@ -327,8 +305,7 @@ class PcrPartitionReader(
     out
   }
 
-  private def rowOf(record: RecordRead, row: Int): InternalRow = {
-    val k = record.selected(row)
+  private def rowOf(record: RecordRead, k: Int): InternalRow = {
     val values = new Array[Any](columns.length)
     var c = 0
     while (c < columns.length) {
@@ -339,9 +316,9 @@ class PcrPartitionReader(
         case 3 => record.header.height
         case 4 => record.scanGroup
         case 5 => record.bytesPerImage
-        case 6 => planeBytes(record.images(row).y)
-        case 7 => planeBytes(record.images(row).cb)
-        case 8 => planeBytes(record.images(row).cr)
+        case 6 => planeBytes(record.images(k).y)
+        case 7 => planeBytes(record.images(k).cb)
+        case 8 => planeBytes(record.images(k).cr)
       }
       c += 1
     }
@@ -357,63 +334,6 @@ class PcrPartitionReader(
     TaskMetric(RecordBytesReadMetric.Name, fetched))
 
   override def close(): Unit = ()
-}
-
-/** Compiles a V2 predicate on `id` and `label` (comparisons, `IN`, `AND`,
-  * `OR`, `NOT`, against non-null integral literals) into a test of one
-  * image's header entry. Any other predicate does not compile.
-  */
-object ImageFilter {
-  type Keep = (Long, Int) => Boolean
-
-  def and(a: Keep, b: Keep): Keep = (id, label) => a(id, label) && b(id, label)
-
-  private val Flipped = Map("=" -> "=", "<=>" -> "<=>", "<>" -> "<>",
-    "<" -> ">", "<=" -> ">=", ">" -> "<", ">=" -> "<=")
-
-  def compile(e: Expression): Option[Keep] = e match {
-    case p: Predicate => (p.name(), p.children().toSeq) match {
-      case ("AND", Seq(l, r)) => for (a <- compile(l); b <- compile(r)) yield and(a, b)
-      case ("OR", Seq(l, r)) =>
-        for (a <- compile(l); b <- compile(r)) yield (id: Long, label: Int) => a(id, label) || b(id, label)
-      case ("NOT", Seq(c)) => compile(c).map(a => (id: Long, label: Int) => !a(id, label))
-      case ("IN", (ref: NamedReference) +: values) =>
-        val lits = values.flatMap(literal)
-        if (lits.size < values.size) None
-        else column(ref).map { get => val set = lits.toSet; (id: Long, label: Int) => set(get(id, label)) }
-      case (op, Seq(ref: NamedReference, v)) if Flipped.contains(op) => compare(op, ref, v)
-      case (op, Seq(v, ref: NamedReference)) if Flipped.contains(op) => compare(Flipped(op), ref, v)
-      case _ => None
-    }
-    case _ => None
-  }
-
-  private def compare(op: String, ref: NamedReference, v: Expression): Option[Keep] =
-    for (get <- column(ref); x <- literal(v)) yield op match {
-      case "=" | "<=>" => (id: Long, label: Int) => get(id, label) == x
-      case "<>" => (id: Long, label: Int) => get(id, label) != x
-      case "<" => (id: Long, label: Int) => get(id, label) < x
-      case "<=" => (id: Long, label: Int) => get(id, label) <= x
-      case ">" => (id: Long, label: Int) => get(id, label) > x
-      case ">=" => (id: Long, label: Int) => get(id, label) >= x
-    }
-
-  private def column(ref: NamedReference): Option[(Long, Int) => Long] = ref.fieldNames().toSeq match {
-    case Seq("id") => Some((id, _) => id)
-    case Seq("label") => Some((_, label) => label.toLong)
-    case _ => None
-  }
-
-  private def literal(e: Expression): Option[Long] = e match {
-    case l: Literal[_] => l.value() match {
-      case v: java.lang.Long => Some(v.longValue)
-      case v: java.lang.Integer => Some(v.longValue)
-      case v: java.lang.Short => Some(v.longValue)
-      case v: java.lang.Byte => Some(v.longValue)
-      case _ => None
-    }
-    case _ => None
-  }
 }
 
 class ImagesDecodedMetric extends CustomSumMetric {

@@ -32,12 +32,11 @@ object Trainer {
       labelMap: Int => Int = identity): RDD[LabeledVec] = {
     val g = PcrScan.checkScanGroup(scanGroup)
     val runs = PcrScan.packRecords(spark, pcrDir)
-    val luma = arch.luma
     if (runs.isEmpty) spark.sparkContext.emptyRDD[LabeledVec]
     else spark.sparkContext.parallelize(runs, runs.size).flatMap(_.iterator.flatMap { path =>
       val r = PcrDecoder.read(path, g, Seq(0))
       val h = r.header
-      r.images.indices.iterator.map(k => LabeledVec(h.ids(k), labelMap(h.labels(k)), luma(h.width, h.height, r.images(k).y)))
+      r.images.indices.iterator.map(k => LabeledVec(h.ids(k), labelMap(h.labels(k)), arch.luma(h.width, h.height, r.images(k).y)))
     })
   }
 
