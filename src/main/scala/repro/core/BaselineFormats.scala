@@ -62,9 +62,10 @@ object BaselineFormats {
       qualityOverride: Option[Int] = None): Seq[(String, Long)] = {
     val q = qualityOverride.getOrElse(spec.quality)
     RecordWriter.writeRecords(spark, spec.numImages(sf), spec.imagesPerRecord, outDir, "tfr") { ids =>
-      serializeRecord(spec.width, spec.height, q, ids.map { id =>
-        (id, SyntheticImages.label(spec, id), Codec.encodeSequential(SyntheticImages.generate(spec, id, seed), q))
-      })
+      serializeRecord(spec.width, spec.height, q,
+        ids.zip(SyntheticImages.generateAll(spec, ids, seed)).map { case (id, img) =>
+          (id, SyntheticImages.label(spec, id), Codec.encodeSequential(img, q))
+        })
     }((path, _, bytes) => (path, bytes.length.toLong))
   }
 

@@ -43,10 +43,10 @@ object PcrEncoder {
       outDir: String,
       seed: Long = 0L): Seq[RecordManifest] = {
     RecordWriter.writeRecords(spark, spec.numImages(sf), spec.imagesPerRecord, outDir, "pcr") { ids =>
-      PcrRecord.serialize(spec.width, spec.height, spec.quality, ids.map { id =>
-        val img = SyntheticImages.generate(spec, id, seed)
-        PcrImageEntry(id, SyntheticImages.label(spec, id), Codec.encodeProgressive(img, spec.quality))
-      })
+      PcrRecord.serialize(spec.width, spec.height, spec.quality,
+        ids.zip(SyntheticImages.generateAll(spec, ids, seed)).map { case (id, img) =>
+          PcrImageEntry(id, SyntheticImages.label(spec, id), Codec.encodeProgressive(img, spec.quality))
+        })
     } { (path, rec, bytes) =>
       val header = PcrRecord.parseHeader(bytes)
       RecordManifest(path, rec, header.nImages, bytes.length.toLong, header.groupEndOffsets.toSeq)

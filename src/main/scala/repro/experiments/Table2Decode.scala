@@ -21,7 +21,7 @@ object Table2Decode {
   val ReportedScans: Seq[Int] = Seq(1, 2, 5, 10)
 
   def measure(spec: DatasetSpec, nImages: Int, seed: Long = 0L): DecodeRates = {
-    val images = (0 until nImages).map(i => SyntheticImages.generate(spec, i.toLong, seed))
+    val images = SyntheticImages.generateAll(spec, 0L until nImages.toLong, seed)
     val progressive = images.map(Codec.encodeProgressive(_, spec.quality))
     val sequential = images.map(Codec.encodeSequential(_, spec.quality))
 

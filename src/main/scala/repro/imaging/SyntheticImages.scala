@@ -99,98 +99,146 @@ object SyntheticImages {
   def isMakeZeroLabel(spec: DatasetSpec, fineLabel: Int): Int =
     if (makeLabel(spec, fineLabel) == 0) 0 else 1
 
-  /** One 2-D cosine grating evaluated separably:
-    * cos(ax + by + φ) = cos(ax)cos(by+φ) − sin(ax)sin(by+φ).
+  /** One 2-D cosine grating `amp · cos(ax + by + φ)` tabulated separably on
+    * a w×h grid: cos(ax + by + φ) = cos(ax)cos(by+φ) − sin(ax)sin(by+φ).
+    * [[set]] re-tabulates it, so a batch reuses one set of tables for the
+    * gratings that each image samples afresh.
     */
-  private final case class Grating(fx: Double, fy: Double, phase: Double, amp: Double)
-
-  private def addGratings(
-      field: Array[Double], w: Int, h: Int, gratings: Seq[Grating]): Unit = {
+  private final class Grating(w: Int, h: Int) {
     val cosX = new Array[Double](w); val sinX = new Array[Double](w)
     val cosY = new Array[Double](h); val sinY = new Array[Double](h)
-    for (g <- gratings) {
-      val ax = 2.0 * math.Pi * g.fx / w
-      val by = 2.0 * math.Pi * g.fy / h
+    var amp = 0.0
+
+    def set(fx: Double, fy: Double, phase: Double, amp: Double): Unit = {
+      this.amp = amp
+      val ax = 2.0 * math.Pi * fx / w
+      val by = 2.0 * math.Pi * fy / h
       var x = 0
       while (x < w) { cosX(x) = math.cos(ax * x); sinX(x) = math.sin(ax * x); x += 1 }
       var yy = 0
-      while (yy < h) {
-        cosY(yy) = math.cos(by * yy + g.phase); sinY(yy) = math.sin(by * yy + g.phase)
-        yy += 1
-      }
-      yy = 0
-      while (yy < h) {
-        val cy = cosY(yy); val sy = sinY(yy)
-        var xx = 0
-        val row = yy * w
-        while (xx < w) {
-          field(row + xx) += g.amp * (cosX(xx) * cy - sinX(xx) * sy)
-          xx += 1
-        }
-        yy += 1
-      }
+      while (yy < h) { cosY(yy) = math.cos(by * yy + phase); sinY(yy) = math.sin(by * yy + phase); yy += 1 }
     }
   }
 
-  /** Sample `n` gratings with radial frequency in [fLo, fHi] (cycles per
-    * image) and amplitude `amp / f^alpha`.
+  /** Sample `gratings.length` gratings into `gratings`, with radial frequency
+    * in [fLo, fHi] (cycles per image) and amplitude `amp / f^alpha`.
     */
   private def sampleGratings(
-      rng: Rng, n: Int, fLo: Double, fHi: Double, amp: Double, alpha: Double): Seq[Grating] =
-    (0 until n).map { _ =>
+      rng: Rng, fLo: Double, fHi: Double, amp: Double, alpha: Double, gratings: Array[Grating]): Array[Grating] = {
+    var i = 0
+    while (i < gratings.length) {
       // Log-uniform radial frequency keeps low and high octaves populated.
       val f = math.exp(rng.uniform(math.log(math.max(fLo, 0.5)), math.log(fHi)))
       val theta = rng.uniform(0, 2 * math.Pi)
-      Grating(f * math.cos(theta), f * math.sin(theta), rng.uniform(0, 2 * math.Pi),
+      gratings(i).set(f * math.cos(theta), f * math.sin(theta), rng.uniform(0, 2 * math.Pi),
         amp / math.pow(f, alpha))
-    }
-
-  /** Generate image `id` of `spec` deterministically. */
-  def generate(spec: DatasetSpec, id: Long, seed: Long = 0L): PlanarImage = {
-    val w = spec.width; val h = spec.height
-    val lbl = label(spec, id)
-    val datasetSeed = Rng.mix(seed, spec.name.hashCode.toLong)
-
-    // Base texture: unique per image.
-    val imgRng = new Rng(Rng.mix(datasetSeed, id))
-    val field = new Array[Double](w * h)
-    addGratings(field, w, h,
-      sampleGratings(imgRng, spec.nBaseComponents, 1.0, w / 2.0, spec.baseAmp, spec.alpha))
-
-    // Class template: shared across all images of the label and band-limited
-    // to the class frequency band, so the discriminative signal lives at a
-    // controlled point of the spectrum compression progressively removes.
-    val clsRng = new Rng(Rng.mix(datasetSeed, 0x5ca1ab1eL + lbl))
-    addGratings(field, w, h, sampleGratings(clsRng, spec.nClassComponents,
-      spec.classFreqLo, spec.classFreqHi, spec.classAmp, 0.0))
-
-    // Hierarchical datasets add a low-frequency make template shared by all
-    // fine classes of the same make — coarser relabelings stay learnable
-    // from earlier scans (paper Figure 11).
-    if (spec.nMakes > 0) {
-      val mk = makeLabel(spec, lbl)
-      val mkRng = new Rng(Rng.mix(datasetSeed, 0x0ddba11L + mk))
-      addGratings(field, w, h, sampleGratings(mkRng, spec.nClassComponents,
-        spec.makeFreqLo, spec.makeFreqHi, spec.makeAmp, 0.0))
-    }
-
-    val y = new Array[Int](w * h)
-    var i = 0
-    while (i < y.length) {
-      y(i) = PlanarImage.clamp255(128.0 + field(i) + spec.noiseAmp * imgRng.nextGaussian())
       i += 1
     }
+    gratings
+  }
 
-    // Chroma: smooth low-frequency colour fields at half resolution.
-    val cw = w / 2; val ch = h / 2
-    def chromaPlane(): Array[Int] = {
-      val cf = new Array[Double](cw * ch)
-      addGratings(cf, cw, ch, sampleGratings(imgRng, 6, 0.5, 4.0, spec.chromaAmp, 1.0))
-      val out = new Array[Int](cw * ch)
-      var j = 0
-      while (j < out.length) { out(j) = PlanarImage.clamp255(128.0 + cf(j)); j += 1 }
-      out
+  /** Row `yy` of the sum of `gratings`, into `row`: each pixel starts at 0.0
+    * and adds the gratings in order. The inner loop indexes `row` and one
+    * grating's x tables with the same index, so C2 vectorizes it.
+    */
+  private def sumRow(row: Array[Double], gratings: Array[Grating], yy: Int): Unit = {
+    java.util.Arrays.fill(row, 0.0)
+    var g = 0
+    while (g < gratings.length) {
+      val gr = gratings(g)
+      val amp = gr.amp; val cosX = gr.cosX; val sinX = gr.sinX
+      val cy = gr.cosY(yy); val sy = gr.sinY(yy)
+      var x = 0
+      while (x < row.length) {
+        row(x) += amp * (cosX(x) * cy - sinX(x) * sy)
+        x += 1
+      }
+      g += 1
     }
-    PlanarImage(w, h, y, chromaPlane(), chromaPlane())
+  }
+
+  /** Generate image `id` of `spec` deterministically. */
+  def generate(spec: DatasetSpec, id: Long, seed: Long = 0L): PlanarImage =
+    generateAll(spec, Seq(id), seed).head
+
+  /** Generate images `ids` of `spec`: element i is `generate(spec, ids(i),
+    * seed)`. The label templates are tabulated once per label of `ids`, so
+    * the images of a record share them.
+    */
+  def generateAll(spec: DatasetSpec, ids: Seq[Long], seed: Long): Seq[PlanarImage] = {
+    val batch = new Batch(spec, seed)
+    ids.map(batch.image)
+  }
+
+  /** The state one [[generateAll]] call shares across its images: the label
+    * templates built so far, and the tables and rows each image refills.
+    */
+  private final class Batch(spec: DatasetSpec, seed: Long) {
+    private val w = spec.width
+    private val h = spec.height
+    private val cw = w / 2
+    private val ch = h / 2
+    private val datasetSeed = Rng.mix(seed, spec.name.hashCode.toLong)
+    private val templates = scala.collection.mutable.HashMap.empty[Int, Array[Grating]]
+    private val base = Array.fill(spec.nBaseComponents)(new Grating(w, h))
+    private val chroma = Array.fill(6)(new Grating(cw, ch))
+    private val row = new Array[Double](w)
+    private val noise = new Array[Double](w)
+    private val chromaRow = new Array[Double](cw)
+
+    /** The templates image `id` shares with every image of its label: the
+      * class template, band-limited to the class frequency band so the
+      * discriminative signal lives at a controlled point of the spectrum
+      * compression progressively removes. Hierarchical datasets add a
+      * low-frequency make template shared by all fine classes of the same
+      * make, so coarser relabelings stay learnable from earlier scans
+      * (paper Figure 11).
+      */
+    private def labelTemplates(lbl: Int): Array[Grating] = {
+      def fresh() = Array.fill(spec.nClassComponents)(new Grating(w, h))
+      val cls = sampleGratings(new Rng(Rng.mix(datasetSeed, 0x5ca1ab1eL + lbl)),
+        spec.classFreqLo, spec.classFreqHi, spec.classAmp, 0.0, fresh())
+      if (spec.nMakes == 0) cls
+      else cls ++ sampleGratings(new Rng(Rng.mix(datasetSeed, 0x0ddba11L + makeLabel(spec, lbl))),
+        spec.makeFreqLo, spec.makeFreqHi, spec.makeAmp, 0.0, fresh())
+    }
+
+    def image(id: Long): PlanarImage = {
+      val lbl = label(spec, id)
+      val shared = templates.getOrElseUpdate(lbl, labelTemplates(lbl))
+
+      // Base texture, unique per image, then the label's templates.
+      val imgRng = new Rng(Rng.mix(datasetSeed, id))
+      val gratings = sampleGratings(imgRng, 1.0, w / 2.0, spec.baseAmp, spec.alpha, base) ++ shared
+      val y = new Array[Int](w * h)
+      var yy = 0
+      while (yy < h) {
+        sumRow(row, gratings, yy)
+        imgRng.nextGaussians(noise)
+        val o = yy * w
+        var x = 0
+        while (x < w) {
+          y(o + x) = PlanarImage.clamp255(128.0 + row(x) + spec.noiseAmp * noise(x))
+          x += 1
+        }
+        yy += 1
+      }
+
+      // Chroma: smooth low-frequency colour fields at half resolution.
+      def chromaPlane(): Array[Int] = {
+        sampleGratings(imgRng, 0.5, 4.0, spec.chromaAmp, 1.0, chroma)
+        val out = new Array[Int](cw * ch)
+        var cy = 0
+        while (cy < ch) {
+          sumRow(chromaRow, chroma, cy)
+          val o = cy * cw
+          var x = 0
+          while (x < cw) { out(o + x) = PlanarImage.clamp255(128.0 + chromaRow(x)); x += 1 }
+          cy += 1
+        }
+        out
+      }
+      PlanarImage(w, h, y, chromaPlane(), chromaPlane())
+    }
   }
 }

@@ -4,44 +4,66 @@ package repro.jpeg
   * coded scan is an independent, byte-aligned bit stream, which is what lets
   * the PCR layout concatenate scans from different images into scan groups.
   *
-  * Bits collect in a 64-bit accumulator and leave it a whole byte at a time.
+  * Bits collect in a 64-bit accumulator and leave it 32 at a time.
   */
 final class BitWriter(initialCapacity: Int = 256) {
   private var buf = new Array[Byte](math.max(16, initialCapacity))
   private var byteLen = 0
-  private var acc = 0L // the low nAcc bits are pending, oldest first
-  private var nAcc = 0 // always < 8 between calls
+  private var acc = 0L // the low nAcc bits are pending, oldest first; higher bits are stale
+  private var nAcc = 0 // always < 32 between calls
 
-  def writeBit(b: Int): Unit = writeBits(b & 1, 1)
+  def writeBit(b: Int): Unit = put(b & 1, 1)
 
   /** Write the low `n` bits of `v`, MSB first. n may be 0 (no-op). */
   def writeBits(v: Int, n: Int): Unit = {
     require(n >= 0 && n <= 32, s"bad bit count $n")
-    acc = (acc << n) | (v.toLong & ((1L << n) - 1))
+    put(v.toLong & ((1L << n) - 1), n)
+  }
+
+  /** Write the low `n` bits of `v` (0 ≤ n ≤ 63), MSB first: one call for a
+    * field wider than [[writeBits]] takes.
+    */
+  def writeLong(v: Long, n: Int): Unit = {
+    require(n >= 0 && n <= 63, s"bad bit count $n")
+    if (n > 32) {
+      put((v >>> 32) & ((1L << (n - 32)) - 1), n - 32)
+      put(v & 0xffffffffL, 32)
+    } else put(v & ((1L << n) - 1), n)
+  }
+
+  /** Append `n ≤ 32` bits, `bits` < 2^n. */
+  private def put(bits: Long, n: Int): Unit = {
+    acc = (acc << n) | bits
     nAcc += n
-    if (nAcc >= 8) {
-      if (byteLen + 5 > buf.length) {
-        buf = java.util.Arrays.copyOf(buf, math.max(buf.length * 2, byteLen + 5))
+    if (nAcc >= 32) {
+      if (byteLen + 4 > buf.length) {
+        buf = java.util.Arrays.copyOf(buf, math.max(buf.length * 2, byteLen + 4))
       }
-      while (nAcc >= 8) {
-        nAcc -= 8
-        buf(byteLen) = (acc >>> nAcc).toByte
-        byteLen += 1
-      }
-      acc &= (1L << nAcc) - 1
+      nAcc -= 32
+      val word = (acc >>> nAcc).toInt
+      buf(byteLen) = (word >>> 24).toByte
+      buf(byteLen + 1) = (word >>> 16).toByte
+      buf(byteLen + 2) = (word >>> 8).toByte
+      buf(byteLen + 3) = word.toByte
+      byteLen += 4
     }
   }
 
   def bitLength: Long = byteLen.toLong * 8 + nAcc
 
   /** Pad the final partial byte with 1s (like JPEG) and return the bytes. */
-  def toBytes: Array[Byte] =
-    if (nAcc == 0) java.util.Arrays.copyOf(buf, byteLen)
-    else {
-      val o = java.util.Arrays.copyOf(buf, byteLen + 1)
-      o(byteLen) = ((acc << (8 - nAcc)) | ((1 << (8 - nAcc)) - 1)).toByte
-      o
+  def toBytes: Array[Byte] = {
+    val nFull = nAcc >> 3
+    val tail = nAcc & 7
+    val o = java.util.Arrays.copyOf(buf, byteLen + nFull + (if (tail == 0) 0 else 1))
+    var i = 0
+    while (i < nFull) {
+      o(byteLen + i) = (acc >>> (nAcc - 8 * (i + 1))).toByte
+      i += 1
     }
+    if (tail != 0) o(byteLen + nFull) = ((acc << (8 - tail)) | ((1 << (8 - tail)) - 1)).toByte
+    o
+  }
 }
 
 /** MSB-first bit reader over a byte array. Reading past the end yields 1s

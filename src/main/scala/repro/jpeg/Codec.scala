@@ -26,15 +26,13 @@ object Codec {
 
   // ---------------------------------------------------------------- helpers
 
-  /** JPEG point transform for AC coefficients: sign-magnitude right shift. */
-  private def pt(v: Int, al: Int): Int = if (v >= 0) v >> al else -((-v) >> al)
-
   /** Bit category of a value: smallest s with |v| < 2^s (0 for v == 0). */
   private def category(v: Int): Int = 32 - Integer.numberOfLeadingZeros(math.abs(v))
 
-  /** JPEG signed value coding: positives as-is, negatives one's-complement. */
-  private def writeSigned(bw: BitWriter, v: Int, s: Int): Unit =
-    if (v >= 0) bw.writeBits(v, s) else bw.writeBits(v + (1 << s) - 1, s)
+  /** JPEG signed value coding of `v` in `s = category(v)` bits: positives
+    * as-is, negatives one's-complement (`v - 1` in the low `s` bits).
+    */
+  private def valueBits(v: Int, s: Int): Int = (v + (v >> 31)) & ((1 << s) - 1)
 
   /** The value of `s ≥ 1` raw bits in that coding. */
   private def extend(raw: Int, s: Int): Int =
@@ -165,87 +163,117 @@ object Codec {
   /** Entropy-encode one scan of `ci` into its own byte-aligned stream. */
   def encodeScan(ci: CoefImage, spec: ScanSpec): Array[Byte] = {
     val bw = new BitWriter()
+    val acStart = math.max(1, spec.ss)
     for (c <- spec.components) {
       val blocks = ci.comps(c)
-      if (spec.coversDc && !spec.isRefinement) {
-        // DC first pass: diff-coded arithmetic-shifted values.
-        var prev = 0
-        var b = 0
-        while (b < blocks.length) {
-          val v = blocks(b)(0) >> spec.al
-          val diff = v - prev
-          prev = v
-          val s = category(diff)
-          bw.writeBits(s, 4)
-          writeSigned(bw, diff, s)
-          b += 1
-        }
-      } else if (spec.coversDc && spec.isRefinement) {
-        var b = 0
-        while (b < blocks.length) {
-          bw.writeBit((blocks(b)(0) >> spec.al) & 1)
-          b += 1
-        }
+      if (spec.coversDc) {
+        if (spec.isRefinement) encodeRefineDc(bw, blocks, spec.al) else encodeFirstDc(bw, blocks, spec.al)
       }
-      val acStart = math.max(1, spec.ss)
       if (spec.se >= acStart) {
-        if (!spec.isRefinement) {
-          // AC first pass: (run, size) symbols + signed value bits, EOB/ZRL.
-          var b = 0
-          while (b < blocks.length) {
-            val zz = blocks(b)
-            var run = 0
-            var k = acStart
-            while (k <= spec.se) {
-              val v = pt(zz(k), spec.al)
-              if (v == 0) run += 1
-              else {
-                while (run > 15) { bw.writeBits(0xf0, 8); run -= 16 } // ZRL
-                val s = category(v)
-                bw.writeBits((run << 4) | s, 8)
-                writeSigned(bw, v, s)
-                run = 0
-              }
-              k += 1
-            }
-            if (run > 0) bw.writeBits(0, 8) // EOB
-            b += 1
-          }
-        } else {
-          // AC refinement: one correction bit per already-significant
-          // coefficient, then an explicit list of newly-significant
-          // positions (6-bit count, 6-bit position, sign bit). All-zero
-          // bands cost 6 bits per block — like JPEG's EOB runs, this keeps
-          // refinement scans proportional to content, not band width.
-          var b = 0
-          while (b < blocks.length) {
-            val zz = blocks(b)
-            var k = acStart
-            var nNew = 0
-            while (k <= spec.se) {
-              val prevMag = math.abs(zz(k)) >> spec.ah
-              val newMag  = math.abs(zz(k)) >> spec.al
-              if (prevMag != 0) bw.writeBit(newMag & 1)
-              else if (newMag != 0) nNew += 1
-              k += 1
-            }
-            bw.writeBits(nNew, 6)
-            k = acStart
-            while (k <= spec.se) {
-              val prevMag = math.abs(zz(k)) >> spec.ah
-              val newMag  = math.abs(zz(k)) >> spec.al
-              if (prevMag == 0 && newMag != 0) {
-                bw.writeBits(k, 6)
-                bw.writeBit(if (zz(k) > 0) 1 else 0)
-              }
-              k += 1
-            }
-            b += 1
-          }
-        }
+        if (spec.isRefinement) encodeRefineAc(bw, blocks, acStart, spec.se, spec.ah, spec.al)
+        else encodeFirstAc(bw, blocks, acStart, spec.se, spec.al)
       }
     }
     bw.toBytes
+  }
+
+  // Each AC block loop below makes one pass over the band that builds a
+  // 64-bit mask of the slots it must code, then walks the set bits with
+  // numberOfTrailingZeros, as libjpeg's jcphuff.c walks its zero bitmaps.
+  // A symbol and its value bits go out in one write.
+
+  /** DC first pass: a 4-bit size, then that many bits of the difference of
+    * the arithmetic-shifted values.
+    */
+  private def encodeFirstDc(bw: BitWriter, blocks: Array[Array[Int]], al: Int): Unit = {
+    var prev = 0
+    var b = 0
+    while (b < blocks.length) {
+      val v = blocks(b)(0) >> al
+      val diff = v - prev
+      prev = v
+      val s = category(diff)
+      bw.writeBits((s << s) | valueBits(diff, s), 4 + s)
+      b += 1
+    }
+  }
+
+  /** DC refinement: one bit per block. */
+  private def encodeRefineDc(bw: BitWriter, blocks: Array[Array[Int]], al: Int): Unit = {
+    var b = 0
+    while (b < blocks.length) {
+      bw.writeBit(blocks(b)(0) >> al)
+      b += 1
+    }
+  }
+
+  /** AC first pass: an 8-bit (run, size) symbol and `size` value bits per
+    * non-zero, a ZRL (0xf0) per 16 zeros of a longer run, and an EOB (0x00)
+    * when the band ends in zeros.
+    */
+  private def encodeFirstAc(bw: BitWriter, blocks: Array[Array[Int]], ss: Int, se: Int, al: Int): Unit = {
+    val v = new Array[Int](64)
+    var b = 0
+    while (b < blocks.length) {
+      val zz = blocks(b)
+      var nonZero = 0L
+      var k = ss
+      while (k <= se) {
+        val x = zz(k)
+        val sign = x >> 31
+        val p = ((((x ^ sign) - sign) >> al) ^ sign) - sign // sign-magnitude shift
+        v(k) = p
+        nonZero |= ((p | -p) >>> 31).toLong << k
+        k += 1
+      }
+      var next = ss // first slot not yet coded
+      while (nonZero != 0L) {
+        val k = java.lang.Long.numberOfTrailingZeros(nonZero)
+        var run = k - next
+        while (run > 15) { bw.writeBits(0xf0, 8); run -= 16 } // ZRL
+        val p = v(k)
+        val s = category(p)
+        bw.writeBits((((run << 4) | s) << s) | valueBits(p, s), 8 + s)
+        next = k + 1
+        nonZero &= nonZero - 1
+      }
+      if (next <= se) bw.writeBits(0, 8) // EOB
+      b += 1
+    }
+  }
+
+  /** AC refinement: one correction bit per already-significant slot, then
+    * an explicit list of newly-significant positions (6-bit count, 6-bit
+    * position, sign bit). All-zero bands cost 6 bits per block — like
+    * JPEG's EOB runs, this keeps refinement scans proportional to content,
+    * not band width.
+    */
+  private def encodeRefineAc(
+      bw: BitWriter, blocks: Array[Array[Int]], ss: Int, se: Int, ah: Int, al: Int): Unit = {
+    var b = 0
+    while (b < blocks.length) {
+      val zz = blocks(b)
+      var corrections = 0L // at most se - ss + 1 ≤ 63 bits, first slot first
+      var nCorrections = 0
+      var fresh = 0L
+      var k = ss
+      while (k <= se) {
+        val a = math.abs(zz(k))
+        if ((a >> ah) != 0) {
+          corrections = (corrections << 1) | ((a >> al) & 1)
+          nCorrections += 1
+        } else fresh |= ((a >> al).toLong & 1L) << k // ah = al + 1, so a >> al is 0 or 1 here
+        k += 1
+      }
+      bw.writeLong(corrections, nCorrections)
+      bw.writeBits(java.lang.Long.bitCount(fresh), 6)
+      while (fresh != 0L) {
+        val k = java.lang.Long.numberOfTrailingZeros(fresh)
+        bw.writeBits((k << 1) | (~zz(k) >>> 31), 7)
+        fresh &= fresh - 1
+      }
+      b += 1
+    }
   }
 
   /** Encode all scans of a script; element i is the stream of scan i+1. */

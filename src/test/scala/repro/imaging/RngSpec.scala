@@ -40,6 +40,18 @@ class RngSpec extends AnyFunSuite {
     assert(math.abs(varr - 1.0) < 0.05, s"var $varr")
   }
 
+  test("nextGaussians gives the bits of successive nextGaussian calls and leaves the stream where they do") {
+    for (seed <- Seq(0L, 1L, -7L, Long.MaxValue); n <- Seq(0, 1, 2, 7, 128, 1000)) {
+      val a = new Rng(seed); val b = new Rng(seed)
+      val out = new Array[Double](n)
+      a.nextGaussians(out)
+      val expected = Array.fill(n)(b.nextGaussian())
+      assert(out.map(java.lang.Double.doubleToRawLongBits).sameElements(
+        expected.map(java.lang.Double.doubleToRawLongBits)), s"seed $seed n $n")
+      assert(a.nextLong() == b.nextLong(), s"seed $seed n $n")
+    }
+  }
+
   test("mix is deterministic and sensitive to both arguments") {
     assert(Rng.mix(1, 2) == Rng.mix(1, 2))
     assert(Rng.mix(1, 2) != Rng.mix(2, 1))

@@ -135,6 +135,33 @@ class BitIOSpec extends AnyFunSuite with PropSupport {
     }, 300)
   }
 
+  test("writer bytes and bitLength equal the reference for mixed writeBits and writeLong widths 0 to 63") {
+    // A writeLong field is the reference's writes of its high and low halves.
+    val gen: Gen[Either[(Int, Int), (Long, Int)]] = Gen.oneOf(
+      writeGen.map(Left(_)),
+      for {
+        n <- Gen.choose(0, 63)
+        v <- Gen.oneOf(Gen.choose(Long.MinValue, Long.MaxValue), Gen.choose(-1L, 1L))
+      } yield Right((v, n)))
+    checkProp(Prop.forAll(Gen.listOf(gen)) { writes =>
+      val w = new BitWriter(initialCapacity = 1); val ref = new ReferenceBitWriter
+      writes.forall {
+        case Left((v, n)) =>
+          w.writeBits(v, n); ref.writeBits(v, n)
+          w.bitLength == ref.bitLength
+        case Right((v, n)) =>
+          w.writeLong(v, n)
+          ref.writeBits((v >>> 32).toInt, math.max(0, n - 32)); ref.writeBits(v.toInt, math.min(n, 32))
+          w.bitLength == ref.bitLength
+      } && w.toBytes.sameElements(ref.toBytes)
+    }, 300)
+  }
+
+  test("writeLong rejects widths outside 0 to 63") {
+    assertThrows[IllegalArgumentException](new BitWriter().writeLong(0L, -1))
+    assertThrows[IllegalArgumentException](new BitWriter().writeLong(0L, 64))
+  }
+
   test("writeBits of a negative value at width 32 writes all 32 bits") {
     val w = new BitWriter(); val ref = new ReferenceBitWriter
     for ((v, n) <- Seq((1, 3), (-1, 32), (Int.MinValue, 32), (-123456789, 32), (5, 0), (-2, 7))) {
