@@ -14,7 +14,7 @@ class Fig24ReaderBench extends SparkSpec {
 
   private lazy val rates = {
     val (dir, _) = BenchData.pcrDataset(SyntheticImages.imagenet)
-    Fig24Reader.run(dir, reps = 10)
+    Fig24Reader.run(dir)
   }
 
   test("Fig 24: report raw reader rates") {

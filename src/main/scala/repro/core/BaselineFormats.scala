@@ -35,13 +35,21 @@ object BaselineFormats {
     bb.array()
   }
 
+  /** Inverse of [[serializeRecord]]. An image count or payload length that
+    * does not fit the bytes left is rejected before anything is allocated
+    * for it.
+    */
   def parseRecord(bytes: Array[Byte]): (Int, Int, Int, Seq[(Long, Int, Array[Byte])]) = {
     val bb = ByteBuffer.wrap(bytes)
-    require(bb.getInt() == RecordMagic, "not a TFR1 record")
+    require(bb.remaining >= 24 && bb.getInt() == RecordMagic, "not a TFR1 record")
     val n = bb.getInt(); val w = bb.getInt(); val h = bb.getInt(); val q = bb.getInt()
     bb.getInt() // reserved
-    val images = (0 until n).map { _ =>
+    require(n >= 0 && n <= bb.remaining / 16,
+      s"corrupt TFR1 record: image count $n with ${bb.remaining} bytes left")
+    val images = (0 until n).map { i =>
       val id = bb.getLong(); val label = bb.getInt(); val len = bb.getInt()
+      require(len >= 0 && len <= bb.remaining - 16 * (n - 1 - i),
+        s"corrupt TFR1 record: image $i payload length $len with ${bb.remaining} bytes left")
       val payload = new Array[Byte](len)
       bb.get(payload)
       (id, label, payload)

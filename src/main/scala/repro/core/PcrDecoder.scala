@@ -61,10 +61,6 @@ object PcrDecoder {
   /** Read only the header of a record file (metadata + offset index). */
   def readHeader(path: String): PcrHeader = withFile(path)(openRecord(_, path)._1)
 
-  /** Bytes a reader must fetch from `path` for fidelity `scanGroup`. */
-  def prefixBytes(path: String, scanGroup: Int): Long =
-    readHeader(path).prefixLength(scanGroup)
-
   /** Read the prefix of `path` for `scanGroup` and return raw entries plus
     * the header — no pixel decoding (the reader microbenchmark path).
     */

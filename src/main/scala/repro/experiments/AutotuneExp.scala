@@ -35,7 +35,7 @@ object AutotuneExp {
       spec: DatasetSpec,
       pcrDir: String,
       arch: Features.ModelArch,
-      scans: Seq[Int] = Seq(1, 2, 5, 10),
+      scans: Seq[Int] = ReportedScans,
       epochs: Int = 30,
       measureEvery: Int = 10,
       lr: Double = 2.0): Seq[SimilarityPoint] = {
@@ -45,13 +45,10 @@ object AutotuneExp {
       val dim = Features.dim(arch, spec.width, spec.height)
       var p = SoftmaxModel.init(spec.numClasses, dim)
       val out = Seq.newBuilder[SimilarityPoint]
-      for (e <- 0 until epochs) {
-        if (e % measureEvery == 0) {
-          val sims = Autotuner.similarities(trainByScan, scans, scans.max, p)
-          out ++= scans.map(g => SimilarityPoint(e, g, sims(g)))
-        }
-        val (grad, _, _) = Trainer.gradient(trainByScan(scans.max), p)
-        p = SoftmaxModel.step(p, grad, lr, 1e-4)
+      for (e <- 0 until epochs by measureEvery) {
+        val sims = Autotuner.similarities(trainByScan, scans, scans.max, p)
+        out ++= scans.map(g => SimilarityPoint(e, g, sims(g)))
+        p = Trainer.train(trainByScan(scans.max), p, math.min(measureEvery, epochs - e), lr)._1
       }
       out.result()
     } finally byScan.values.foreach(_.unpersist())
@@ -96,15 +93,11 @@ object AutotuneExp {
   }
 
   def renderTrace(points: Seq[SimilarityPoint]): String = {
-    val epochs = points.map(_.epoch).distinct.sorted
     val scans = points.map(_.scanGroup).distinct.sorted
-    val header = s"| Epoch | ${scans.map(g => f"scan $g%-2d").mkString(" | ")} |"
-    val sep = s"|-------|${scans.map(_ => "---------").mkString("|")}|"
-    val body = epochs.map { e =>
+    markdownTable("Epoch" +: scans.map(g => s"scan $g"), points.map(_.epoch).distinct.sorted.map { e =>
       val bySc = points.filter(_.epoch == e).map(p => p.scanGroup -> p.similarity).toMap
-      f"| $e%5d | ${scans.map(g => f"${bySc(g)}%7.3f").mkString(" | ")} |"
-    }
-    (header +: sep +: body).mkString("\n")
+      f"$e%5d" +: scans.map(g => f"${bySc(g)}%7.3f")
+    })
   }
 
   def renderRuns(runs: Seq[RunSummary]): String =

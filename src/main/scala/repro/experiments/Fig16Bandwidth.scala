@@ -20,34 +20,29 @@ object Fig16Bandwidth {
       manifests: Seq[RecordManifest],
       imagesPerRecord: Int,
       clusterComputeRate: Double): Seq[SweepRow] = {
-    val ourMeanImageBytes = Fig5Throughput.meanImageBytes(manifests)
-    val scale = ourMeanImageBytes / Fig5Throughput.PaperMeanImageBytes
+    // The caps scale as MiB × (ours / paper), not through scaledBandwidth,
+    // whose other order of the product could change the reported rates.
+    val scale = meanImageBytes(manifests) / PaperMeanImageBytes
+    // The limiter is the bottleneck under test; the device itself is the
+    // scaled peak-bandwidth disk of Fig 5.
+    val disk = DiskModel(scaledBandwidth(Fig5Throughput.PaperAggregateBandwidth, manifests),
+      DiskModel.hdd.seekLatencySec)
     for {
       bwMiB <- PaperBandwidthsMiB
-      g <- Seq(1, 2, 5, 10)
+      g <- ReportedScans
     } yield {
       val cap = bwMiB * 1024.0 * 1024.0 * scale
-      val records = manifests.map(_.prefixBytes(g))
-      // The limiter is the bottleneck under test; the device itself is the
-      // scaled peak-bandwidth disk of Fig 5.
-      val disk = DiskModel(Fig5Throughput.scaledBandwidth(ourMeanImageBytes),
-        DiskModel.hdd.seekLatencySec)
-      val sim = LoaderSim.simulate(records, imagesPerRecord, clusterComputeRate, disk,
-        limiter = Some(new TokenBucket(cap, cap)), epochs = 3)
+      val sim = LoaderSim.simulate(manifests.map(_.prefixBytes(g)), imagesPerRecord,
+        clusterComputeRate, disk, limiter = Some(new TokenBucket(cap, cap)), epochs = SimulatedEpochs)
       SweepRow(bwMiB, g, sim.imagesPerSec)
     }
   }
 
-  def render(rows: Seq[SweepRow]): String = {
-    val scans = Seq(1, 2, 5, 10)
-    val header = Seq(
-      "| Paper-BW (MiB/s) | scan 1 | scan 2 | scan 5 | scan 10 |",
-      "|------------------|--------|--------|--------|---------|")
-    val body = PaperBandwidthsMiB.map { bw =>
-      val byScan = rows.filter(_.paperBandwidthMiB == bw).map(r => r.scanGroup -> r.imagesPerSec).toMap
-      f"| ${bw}%16d | ${byScan(scans(0))}%6.0f | ${byScan(scans(1))}%6.0f " +
-        f"| ${byScan(scans(2))}%6.0f | ${byScan(scans(3))}%7.0f |"
-    }
-    (header ++ body).mkString("\n")
-  }
+  def render(rows: Seq[SweepRow]): String =
+    markdownTable(Seq("Paper-BW (MiB/s)", "scan 1", "scan 2", "scan 5", "scan 10"),
+      PaperBandwidthsMiB.map { bw =>
+        val byScan = rows.filter(_.paperBandwidthMiB == bw).map(r => r.scanGroup -> r.imagesPerSec).toMap
+        Seq(f"${bw}%16d", f"${byScan(1)}%6.0f", f"${byScan(2)}%6.0f", f"${byScan(5)}%6.0f",
+          f"${byScan(10)}%7.0f")
+      })
 }

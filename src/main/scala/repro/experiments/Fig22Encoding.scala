@@ -39,15 +39,11 @@ object Fig22Encoding {
       statics.map { case (q, (b, _)) => q -> b }.toMap)
   }
 
-  def render(rows: Seq[EncodeTimes]): String = {
-    val header = Seq(
-      "| Dataset   | PCR (s) | q50 (s) | q75 (s) | q90 (s) | q95 (s) | Σ static (s) |",
-      "|-----------|---------|---------|---------|---------|---------|--------------|")
-    val body = rows.map { r =>
-      f"| ${r.dataset}%-9s | ${r.pcrSeconds}%7.2f | ${r.staticSeconds(50)}%7.2f " +
-        f"| ${r.staticSeconds(75)}%7.2f | ${r.staticSeconds(90)}%7.2f " +
-        f"| ${r.staticSeconds(95)}%7.2f | ${r.staticTotalSeconds}%12.2f |"
-    }
-    (header ++ body).mkString("\n")
-  }
+  def render(rows: Seq[EncodeTimes]): String =
+    markdownTable(Seq("Dataset", "PCR (s)", "q50 (s)", "q75 (s)", "q90 (s)", "q95 (s)", "Σ static (s)"),
+      rows.map { r =>
+        Seq(f"${r.dataset}%-9s", f"${r.pcrSeconds}%7.2f", f"${r.staticSeconds(50)}%7.2f",
+          f"${r.staticSeconds(75)}%7.2f", f"${r.staticSeconds(90)}%7.2f",
+          f"${r.staticSeconds(95)}%7.2f", f"${r.staticTotalSeconds}%12.2f")
+      })
 }

@@ -14,41 +14,31 @@ final case class ReaderRate(
 
 object Fig24Reader {
 
-  def run(pcrDir: String, reps: Int = 5): Seq[ReaderRate] = {
+  /** Reads of every record per trial: one read is tens of microseconds. */
+  private val Passes = 10
+
+  def run(pcrDir: String): Seq[ReaderRate] = {
     val records = PcrEncoder.listRecords(pcrDir)
     require(records.nonEmpty, s"no records under $pcrDir")
-    // Warm the page cache and JIT so rates reflect reader overhead.
-    Seq(1, 5, 10).foreach(g => records.foreach(PcrDecoder.readRecordRaw(_, g)))
-    Seq(1, 2, 5, 10).map { g =>
-      // Best of 5 trials: the min time filters GC pauses out of a
-      // microbenchmark whose unit of work is tens of microseconds.
-      val results = (0 until 5).map { _ =>
-        var images = 0L
-        var bytes = 0L
-        val (_, sec) = timed {
-          var r = 0
-          while (r < reps) {
-            records.foreach { p =>
-              val (header, entries) = PcrDecoder.readRecordRaw(p, g)
-              images += entries.size
-              bytes += header.prefixLength(math.min(g, header.nScanGroups))
-            }
-            r += 1
-          }
-        }
-        (images / sec, bytes / sec / 1e6)
+    // Images and prefix bytes read by `Passes` reads of every record at `g`.
+    def readAll(g: Int): (Long, Long) = {
+      var images = 0L
+      var bytes = 0L
+      for (_ <- 0 until Passes; p <- records) {
+        val (header, entries) = PcrDecoder.readRecordRaw(p, g)
+        images += entries.size
+        bytes += header.prefixLength(math.min(g, header.nScanGroups))
       }
-      val best = results.maxBy(_._1)
-      ReaderRate(g, best._1, best._2)
+      (images, bytes)
+    }
+    val best = bestOf5(ReportedScans.map(g => () => timed(readAll(g))._2))
+    ReportedScans.zip(best).map { case (g, sec) =>
+      val (images, bytes) = readAll(g)
+      ReaderRate(g, images / sec, bytes / sec / 1e6)
     }
   }
 
-  def render(rows: Seq[ReaderRate]): String = {
-    val header = Seq(
-      "| Scan group | images/s | MB/s |",
-      "|------------|----------|------|")
-    val body = rows.map(r =>
-      f"| ${r.scanGroup}%10d | ${r.imagesPerSec}%8.0f | ${r.megabytesPerSec}%4.0f |")
-    (header ++ body).mkString("\n")
-  }
+  def render(rows: Seq[ReaderRate]): String =
+    markdownTable(Seq("Scan group", "images/s", "MB/s"), rows.map(r =>
+      Seq(f"${r.scanGroup}%10d", f"${r.imagesPerSec}%8.0f", f"${r.megabytesPerSec}%4.0f")))
 }

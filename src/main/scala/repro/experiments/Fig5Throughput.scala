@@ -23,15 +23,6 @@ final case class RateRow(
 object Fig5Throughput {
   val PaperNodes = 10
   val PaperAggregateBandwidth: Double = 400.0 * 1024 * 1024 // §6.1: "400+ MiB/s"
-  val PaperMeanImageBytes: Double = 110e3                   // Table 1, ImageNet
-
-  /** Mean full-fidelity image size of an encoded dataset: record bytes over images. */
-  def meanImageBytes(manifests: Seq[RecordManifest]): Double =
-    manifests.map(_.totalBytes).sum.toDouble / manifests.map(_.nImages.toLong).sum
-
-  /** Aggregate bandwidth preserving the paper's bytes-per-image balance. */
-  def scaledBandwidth(ourMeanImageBytes: Double): Double =
-    PaperAggregateBandwidth * ourMeanImageBytes / PaperMeanImageBytes
 
   def run(
       spec: DatasetSpec,
@@ -40,7 +31,7 @@ object Fig5Throughput {
       computePerNode: Double,
       nNodes: Int = PaperNodes): Seq[RateRow] = {
     val nImages = manifests.map(_.nImages.toLong).sum
-    val w = scaledBandwidth(meanImageBytes(manifests))
+    val w = scaledBandwidth(PaperAggregateBandwidth, manifests)
     val disk = DiskModel(w, DiskModel.hdd.seekLatencySec)
     val clusterCompute = nNodes * computePerNode
     val ipr = spec.imagesPerRecord
@@ -51,15 +42,15 @@ object Fig5Throughput {
         QueueModel.ioRateWithSetup(w, meanRecord, ipr, disk.seekLatencySec))
     }
 
-    val scanRows = Seq(1, 2, 5, 10).map { g =>
+    val scanRows = ReportedScans.map { g =>
       val records = manifests.map(_.prefixBytes(g))
       val mean = records.sum.toDouble / nImages
-      val sim = LoaderSim.simulate(records, ipr, clusterCompute, disk, epochs = 3)
+      val sim = LoaderSim.simulate(records, ipr, clusterCompute, disk, epochs = SimulatedEpochs)
       RateRow(s"scan $g", mean, sim.imagesPerSec, predicted(records))
     }
 
     val tfrMean = tfrFiles.map(_._2).sum.toDouble / nImages
-    val tfrSim = LoaderSim.simulate(tfrFiles.map(_._2), ipr, clusterCompute, disk, epochs = 3)
+    val tfrSim = LoaderSim.simulate(tfrFiles.map(_._2), ipr, clusterCompute, disk, epochs = SimulatedEpochs)
     val tfrRow = RateRow("TFRecord", tfrMean, tfrSim.imagesPerSec,
       predicted(tfrFiles.map(_._2)))
 
@@ -71,14 +62,9 @@ object Fig5Throughput {
     scanRows :+ tfrRow :+ fpiRow
   }
 
-  def render(rows: Seq[RateRow]): String = {
-    val header = Seq(
-      "| Config         | bytes/img | sim img/s | predicted img/s |",
-      "|----------------|-----------|-----------|-----------------|")
-    val body = rows.map { r =>
-      f"| ${r.config}%-14s | ${r.meanBytesPerImage}%9.0f | ${r.simulatedImagesPerSec}%9.0f " +
-        f"| ${r.predictedImagesPerSec}%15.0f |"
-    }
-    (header ++ body).mkString("\n")
-  }
+  def render(rows: Seq[RateRow]): String =
+    markdownTable(Seq("Config", "bytes/img", "sim img/s", "predicted img/s"), rows.map { r =>
+      Seq(f"${r.config}%-14s", f"${r.meanBytesPerImage}%9.0f", f"${r.simulatedImagesPerSec}%9.0f",
+        f"${r.predictedImagesPerSec}%15.0f")
+    })
 }

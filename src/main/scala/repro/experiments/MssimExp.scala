@@ -12,13 +12,12 @@ final case class MssimRow(dataset: String, byScan: Map[Int, Double])
 object MssimExp {
 
   def measure(spec: DatasetSpec, nImages: Int, seed: Long = 0L): MssimRow = {
-    val scansOfInterest = Seq(1, 2, 5, 10)
-    val sums = scala.collection.mutable.Map(scansOfInterest.map(_ -> 0.0): _*)
+    val sums = scala.collection.mutable.Map(ReportedScans.map(_ -> 0.0): _*)
     for (i <- 0 until nImages) {
       val img = SyntheticImages.generate(spec, i.toLong, seed)
       val scans = Codec.encodeProgressive(img, spec.quality)
       val ref = Codec.decodeProgressive(scans, spec.quality, spec.width, spec.height)
-      for (g <- scansOfInterest) {
+      for (g <- ReportedScans) {
         val dec = Codec.decodeProgressive(scans.take(g), spec.quality, spec.width, spec.height)
         sums(g) += Mssim.msssim(ref, dec)
       }
@@ -26,16 +25,11 @@ object MssimExp {
     MssimRow(spec.name, sums.map { case (g, s) => g -> s / nImages }.toMap)
   }
 
-  def render(rows: Seq[MssimRow]): String = {
-    val header = Seq(
-      "| Dataset   | Scan 1 | Scan 2 | Scan 5 | Scan 10 |",
-      "|-----------|--------|--------|--------|---------|")
-    val body = rows.map { r =>
-      f"| ${r.dataset}%-9s | ${r.byScan(1)}%6.3f | ${r.byScan(2)}%6.3f " +
-        f"| ${r.byScan(5)}%6.3f | ${r.byScan(10)}%7.3f |"
-    }
-    (header ++ body).mkString("\n")
-  }
+  def render(rows: Seq[MssimRow]): String =
+    markdownTable(Seq("Dataset", "Scan 1", "Scan 2", "Scan 5", "Scan 10"), rows.map { r =>
+      Seq(f"${r.dataset}%-9s", f"${r.byScan(1)}%6.3f", f"${r.byScan(2)}%6.3f",
+        f"${r.byScan(5)}%6.3f", f"${r.byScan(10)}%7.3f")
+    })
 
   /** Pearson correlation between per-scan MSSIM and final test accuracy
     * (the Fig 13 linear-relationship check).

@@ -21,16 +21,15 @@ object Sec7Ssd {
       tfrBytes: Seq[Long],
       imagesPerRecord: Int,
       resourceScale: Double = 1.0): Seq[SsdRow] = {
-    val w = PaperSsdBandwidth * Fig5Throughput.meanImageBytes(manifests) /
-      Fig5Throughput.PaperMeanImageBytes * resourceScale
+    val w = scaledBandwidth(PaperSsdBandwidth, manifests) * resourceScale
     val disk = DiskModel(w, DiskModel.ssd.seekLatencySec)
     val compute = PaperComputeRate * resourceScale
-    val scanRows = Seq(1, 2, 5, 10).map { g =>
+    val scanRows = ReportedScans.map { g =>
       val sim = LoaderSim.simulate(manifests.map(_.prefixBytes(g)), imagesPerRecord,
-        compute, disk, epochs = 3)
+        compute, disk, epochs = SimulatedEpochs)
       SsdRow(s"scan $g", sim.imagesPerSec)
     }
-    val tfrSim = LoaderSim.simulate(tfrBytes, imagesPerRecord, compute, disk, epochs = 3)
+    val tfrSim = LoaderSim.simulate(tfrBytes, imagesPerRecord, compute, disk, epochs = SimulatedEpochs)
     scanRows :+ SsdRow("TFRecord", tfrSim.imagesPerSec)
   }
 

@@ -18,47 +18,28 @@ final case class DecodeRates(
     baselineImagesPerSec: Double)
 
 object Table2Decode {
-  val ReportedScans: Seq[Int] = Seq(1, 2, 5, 10)
 
   def measure(spec: DatasetSpec, nImages: Int, seed: Long = 0L): DecodeRates = {
     val images = SyntheticImages.generateAll(spec, 0L until nImages.toLong, seed)
     val progressive = images.map(Codec.encodeProgressive(_, spec.quality))
     val sequential = images.map(Codec.encodeSequential(_, spec.quality))
 
-    def decodeAll(g: Int): Unit =
+    def decodeSeconds(g: Int): Double = timed(
       progressive.foreach(s =>
-        Codec.decodeProgressive(s.take(g), spec.quality, spec.width, spec.height))
-    def decodeBaseline(): Unit =
+        Codec.decodeProgressive(s.take(g), spec.quality, spec.width, spec.height)))._2
+    def baselineSeconds(): Double = timed(
       sequential.foreach(b =>
-        Codec.decodeSequential(b, spec.quality, spec.width, spec.height))
+        Codec.decodeSequential(b, spec.quality, spec.width, spec.height)))._2
 
-    // Warm the JIT on every measured configuration before timing any of
-    // them — mid-measurement compilation otherwise dominates the signal.
-    (0 until 2).foreach { _ =>
-      ReportedScans.foreach(decodeAll)
-      decodeBaseline()
-    }
-
-    // Best of 5 trials per configuration: the minimum filters out GC pauses
-    // and JIT jitter. Each trial times every configuration in turn, so load
-    // drift during the measurement reaches all of them alike instead of
-    // landing between the scan rates and the baseline.
-    val configs = ReportedScans.map(g => () => decodeAll(g)) :+ (() => decodeBaseline())
-    val best = Array.fill(configs.size)(Double.MaxValue)
-    for (_ <- 0 until 5; (work, i) <- configs.zipWithIndex) best(i) = math.min(best(i), timed(work())._2)
+    val best = bestOf5(ReportedScans.map(g => () => decodeSeconds(g)) :+ (() => baselineSeconds()))
     val rates = ReportedScans.zip(best).map { case (g, sec) => g -> nImages / sec }.toMap
     DecodeRates(spec.name, nImages, rates, nImages / best.last)
   }
 
-  def render(rows: Seq[DecodeRates]): String = {
-    val header = Seq(
-      "| Dataset   | Scan 1 | Scan 2 | Scan 5 | Scan 10 | Baseline |",
-      "|-----------|--------|--------|--------|---------|----------|")
-    val body = rows.map { r =>
-      f"| ${r.dataset}%-9s | ${r.imagesPerSecByScan(1)}%6.0f | ${r.imagesPerSecByScan(2)}%6.0f " +
-        f"| ${r.imagesPerSecByScan(5)}%6.0f | ${r.imagesPerSecByScan(10)}%7.0f " +
-        f"| ${r.baselineImagesPerSec}%8.0f |"
-    }
-    (header ++ body).mkString("\n")
-  }
+  def render(rows: Seq[DecodeRates]): String =
+    markdownTable(Seq("Dataset", "Scan 1", "Scan 2", "Scan 5", "Scan 10", "Baseline"), rows.map { r =>
+      Seq(f"${r.dataset}%-9s", f"${r.imagesPerSecByScan(1)}%6.0f", f"${r.imagesPerSecByScan(2)}%6.0f",
+        f"${r.imagesPerSecByScan(5)}%6.0f", f"${r.imagesPerSecByScan(10)}%7.0f",
+        f"${r.baselineImagesPerSec}%8.0f")
+    })
 }

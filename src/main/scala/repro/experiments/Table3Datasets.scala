@@ -21,14 +21,9 @@ object Table3Datasets {
     DatasetStats(spec.name, manifests.size, manifests.map(_.nImages.toLong).sum,
       manifests.map(_.totalBytes).sum, spec.quality, spec.numClasses)
 
-  def render(rows: Seq[DatasetStats]): String = {
-    val header = Seq(
-      "| Dataset   | Records | Images | Size      | Quality | Classes |",
-      "|-----------|---------|--------|-----------|---------|---------|")
-    val body = rows.map { r =>
-      f"| ${r.dataset}%-9s | ${r.records}%7d | ${r.images}%6d " +
-        f"| ${r.totalBytes / 1024.0 / 1024.0}%6.2f MiB | ${r.quality}%6d%% | ${r.classes}%7d |"
-    }
-    (header ++ body).mkString("\n")
-  }
+  def render(rows: Seq[DatasetStats]): String =
+    markdownTable(Seq("Dataset", "Records", "Images", "Size", "Quality", "Classes"), rows.map { r =>
+      Seq(f"${r.dataset}%-9s", f"${r.records}%7d", f"${r.images}%6d",
+        f"${r.totalBytes / 1024.0 / 1024.0}%6.2f MiB", f"${r.quality}%6d%%", f"${r.classes}%7d")
+    })
 }

@@ -42,7 +42,7 @@ object TrainGrid {
       g: Int,
       arch: Features.ModelArch,
       nImages: Long): Double = {
-    val w = Fig5Throughput.scaledBandwidth(Fig5Throughput.meanImageBytes(manifests))
+    val w = scaledBandwidth(Fig5Throughput.PaperAggregateBandwidth, manifests)
     val rate = QueueModel.clusterRate(Fig5Throughput.PaperNodes,
       arch.imagesPerSecPerNode, w, meanBytes(manifests, g))
     QueueModel.epochSeconds(nImages, rate)
@@ -55,7 +55,7 @@ object TrainGrid {
       manifests: Seq[RecordManifest],
       arch: Features.ModelArch,
       task: Task,
-      scans: Seq[Int] = Seq(1, 2, 5, 10),
+      scans: Seq[Int] = ReportedScans,
       epochs: Int = 40,
       lr: Double = 2.0): Seq[TrainPoint] = {
     val nImages = manifests.map(_.nImages.toLong).sum
@@ -74,14 +74,9 @@ object TrainGrid {
     }
   }
 
-  def render(rows: Seq[TrainPoint]): String = {
-    val header = Seq(
-      "| Dataset   | Arch            | Task       | Scan | Test acc | s/epoch | Total s |",
-      "|-----------|-----------------|------------|------|----------|---------|---------|")
-    val body = rows.map { r =>
-      f"| ${r.dataset}%-9s | ${r.arch}%-15s | ${r.task}%-10s | ${r.scanGroup}%4d " +
-        f"| ${r.testAccuracy * 100}%7.1f%% | ${r.epochSeconds}%7.3f | ${r.totalSeconds}%7.1f |"
-    }
-    (header ++ body).mkString("\n")
-  }
+  def render(rows: Seq[TrainPoint]): String =
+    markdownTable(Seq("Dataset", "Arch", "Task", "Scan", "Test acc", "s/epoch", "Total s"), rows.map { r =>
+      Seq(f"${r.dataset}%-9s", f"${r.arch}%-15s", f"${r.task}%-10s", f"${r.scanGroup}%4d",
+        f"${r.testAccuracy * 100}%7.1f%%", f"${r.epochSeconds}%7.3f", f"${r.totalSeconds}%7.1f")
+    })
 }

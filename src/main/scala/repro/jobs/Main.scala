@@ -91,7 +91,7 @@ object Main {
     "Fig24Reader" -> { (spark, args) =>
       val dir = tempDir("pcr-fig24")
       PcrEncoder.encodeDataset(spark(), SyntheticImages.imagenet, sf(args), dir)
-      Fig24Reader.render(Fig24Reader.run(dir, reps = 10))
+      Fig24Reader.render(Fig24Reader.run(dir))
     },
     // Figs 7/10/11: test accuracy and simulated time per scan for every
     // dataset and model, then the Cars task-coarsening variants. Args: [sf] [epochs]

@@ -503,13 +503,19 @@ object Codec {
     bb.array()
   }
 
-  /** Inverse of [[frame]]. */
+  /** Inverse of [[frame]]. A count or length that does not fit the bytes
+    * left is rejected before anything is allocated for it.
+    */
   def unframe(bytes: Array[Byte]): Vector[Array[Byte]] = {
     val bb = java.nio.ByteBuffer.wrap(bytes)
+    require(bb.remaining >= 4, s"corrupt frame: scan count past the end of ${bytes.length} bytes")
     val n = bb.getInt
-    require(n >= 0 && n <= 64, s"corrupt frame header: $n scans")
-    Vector.fill(n) {
+    require(n >= 0 && n <= 64 && n <= bb.remaining / 4,
+      s"corrupt frame: scan count $n with ${bb.remaining} bytes left")
+    Vector.tabulate(n) { i =>
       val len = bb.getInt
+      require(len >= 0 && len <= bb.remaining - 4 * (n - 1 - i),
+        s"corrupt frame: scan $i length $len with ${bb.remaining} bytes left")
       val a = new Array[Byte](len)
       bb.get(a)
       a

@@ -29,6 +29,26 @@ class BaselineFormatsSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](BaselineFormats.parseRecord(Array[Byte](0, 1, 2, 3)))
   }
 
+  test("parseRecord rejects an image count or payload length that does not fit the record") {
+    val record = BaselineFormats.serializeRecord(8, 8, 90,
+      Seq((1L, 2, Array[Byte](1, 2, 3)), (7L, 0, Array[Byte](4))))
+    def withInt(at: Int, v: Int): Array[Byte] = {
+      val b = record.clone()
+      java.nio.ByteBuffer.wrap(b).putInt(at, v)
+      b
+    }
+    def rejected(bytes: Array[Byte], field: String): Unit = {
+      val e = intercept[IllegalArgumentException](BaselineFormats.parseRecord(bytes))
+      assert(e.getMessage.contains(field), e.getMessage)
+    }
+    // Layout: 24-byte header (count at 4), then per image id(8) label(4) len(4) payload.
+    for (n <- Seq(-1, 3, Int.MaxValue)) rejected(withInt(4, n), "image count")
+    for (len <- Seq(-1, 5, 20, Int.MaxValue)) rejected(withInt(36, len), "image 0 payload length")
+    for (len <- Seq(-1, 2, Int.MaxValue)) rejected(withInt(55, len), "image 1 payload length")
+    rejected(record.take(20), "not a TFR1 record")
+    rejected(record.dropRight(1), "image 1 payload length")
+  }
+
   test("File-per-Image writes one file per image plus labels") {
     val dir = TempDirs.create("fpi-test").toString
     val files = BaselineFormats.writeFilePerImage(spark, spec, 0.05, dir)

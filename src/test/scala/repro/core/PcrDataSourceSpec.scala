@@ -125,7 +125,7 @@ class PcrDataSourceSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   test("mean bytes_read at g in {1, 5, 10} matches DuckDB over the record prefix lengths") {
     for (g <- Seq(1, 5, 10)) {
       val records = spark.createDataFrame(manifests.map(m =>
-        (m.recordIndex, PcrDecoder.prefixBytes(m.path, g).toDouble / m.nImages)))
+        (m.recordIndex, PcrDecoder.readHeader(m.path).prefixLength(g).toDouble / m.nImages)))
         .toDF("record", "per_image")
       Oracle.assertEquivalent(read(g).agg(round(avg("bytes_read"), 3) as "mean_bytes"),
         "SELECT round(avg(CAST(r.per_image AS DOUBLE)), 3) AS mean_bytes FROM meta m " +

@@ -141,6 +141,24 @@ class CodecSpec extends AnyFunSuite with PropSupport {
     }, n = 50)
   }
 
+  test("unframe rejects a scan count or length that does not fit the frame") {
+    val framed = Codec.frame(Seq(Array[Byte](1, 2, 3), Array[Byte](4)))
+    def withInt(at: Int, v: Int): Array[Byte] = {
+      val b = framed.clone()
+      java.nio.ByteBuffer.wrap(b).putInt(at, v)
+      b
+    }
+    def rejected(bytes: Array[Byte], field: String): Unit = {
+      val e = intercept[IllegalArgumentException](Codec.unframe(bytes))
+      assert(e.getMessage.contains(field), e.getMessage)
+    }
+    for (n <- Seq(-1, 4, 65, Int.MaxValue)) rejected(withInt(0, n), "scan count")
+    for (len <- Seq(-1, 5, 8, Int.MaxValue)) rejected(withInt(4, len), "scan 0 length")
+    for (len <- Seq(-1, 2, Int.MaxValue)) rejected(withInt(11, len), "scan 1 length")
+    rejected(Array[Byte](0, 0), "scan count")
+    rejected(framed.dropRight(1), "scan 1 length")
+  }
+
   test("flat images compress to almost nothing") {
     val flat = PlanarImage.flat(32, 32)
     val scans = Codec.encodeProgressive(flat, 92)
